@@ -1,6 +1,7 @@
 package rtlrepair_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -133,7 +134,7 @@ func TestLocalizationPrunesSites(t *testing.T) {
 				if err != nil {
 					t.Fatalf("buggy module: %v", err)
 				}
-				return core.Repair(m, tr, core.Options{
+				return core.RepairCtx(context.Background(), m, tr, core.Options{
 					Policy: sim.Randomize, Seed: 1,
 					Timeout: 60 * time.Second, Lib: lib, NoLocalize: noLocalize,
 				})

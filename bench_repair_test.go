@@ -1,6 +1,7 @@
 package rtlrepair_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func runRepair(b *testing.B, name string, opts func(*bench.Benchmark) core.Optio
 	o := opts(bm)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.Repair(m, tr, o)
+		res := core.RepairCtx(context.Background(), m, tr, o)
 		if res.Status == core.StatusTimeout {
 			b.Fatalf("%s: status = %v (%s)", name, res.Status, res.Reason)
 		}

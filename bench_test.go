@@ -1,6 +1,7 @@
 package rtlrepair_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -124,7 +125,7 @@ func BenchmarkFigure2CounterRepair(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := core.Repair(m, tr, core.Options{Policy: sim.Randomize, Seed: 1, Timeout: 30 * time.Second})
+		res := core.RepairCtx(context.Background(), m, tr, core.Options{Policy: sim.Randomize, Seed: 1, Timeout: 30 * time.Second})
 		if res.Status != core.StatusRepaired {
 			b.Fatalf("status = %v", res.Status)
 		}
@@ -287,13 +288,13 @@ func BenchmarkAblationNoPreprocessing(b *testing.B) {
 			}
 			m, _ := bm.BuggyModule()
 			lib, _ := bm.LibModules()
-			r1 := core.Repair(m, tr, core.Options{Policy: sim.Randomize, Seed: 1,
+			r1 := core.RepairCtx(context.Background(), m, tr, core.Options{Policy: sim.Randomize, Seed: 1,
 				Timeout: 30 * time.Second, Lib: lib})
 			if r1.Status == core.StatusPreprocessed {
 				withPrep++
 			}
 			m2, _ := bm.BuggyModule()
-			r2 := core.Repair(m2, tr, core.Options{Policy: sim.Randomize, Seed: 1,
+			r2 := core.RepairCtx(context.Background(), m2, tr, core.Options{Policy: sim.Randomize, Seed: 1,
 				Timeout: 30 * time.Second, Lib: lib, NoPreprocess: true})
 			if r2.Status == core.StatusRepaired || r2.Status == core.StatusPreprocessed {
 				withoutPrep++
@@ -322,9 +323,9 @@ func BenchmarkAblationNoMinimize(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		m1, _ := bm.BuggyModule()
-		min := core.Repair(m1, tr, core.Options{Policy: sim.Randomize, Seed: 1, Timeout: 30 * time.Second})
+		min := core.RepairCtx(context.Background(), m1, tr, core.Options{Policy: sim.Randomize, Seed: 1, Timeout: 30 * time.Second})
 		m2, _ := bm.BuggyModule()
-		noMin := core.Repair(m2, tr, core.Options{Policy: sim.Randomize, Seed: 1,
+		noMin := core.RepairCtx(context.Background(), m2, tr, core.Options{Policy: sim.Randomize, Seed: 1,
 			Timeout: 30 * time.Second, NoMinimize: true})
 		if i == 0 {
 			b.Logf("minimized: %d changes; unminimized: %d changes", min.Changes, noMin.Changes)

@@ -81,11 +81,9 @@ type designReport struct {
 	CNFClauseReduction float64 `json:"cnf_clause_reduction_pct"`
 	SATConflicts       int64   `json:"sat_conflicts"`
 	SATPropagations    int64   `json:"sat_propagations"`
-	// DomainCNF prices each abstract domain separately: one shadow
-	// encoder per ablation ("no-signed", "no-congruence", "no-eq")
-	// plus the fully disabled baseline ("no-absint"). ReductionPct is
-	// how much smaller the live encoding is than that shadow — for an
-	// ablation it is the marginal CNF win of the ablated domain.
+	// DomainCNF prices the simplifier against its shadow encoder, keyed
+	// "no-absint" (the only entry). ReductionPct is how much smaller the
+	// live encoding is than that shadow.
 	DomainCNF map[string]domainCNF `json:"domain_cnf,omitempty"`
 	// PhaseMS is the median total time per observability phase (span
 	// name) across `reps` traced sequential runs, in milliseconds. The
@@ -94,8 +92,8 @@ type designReport struct {
 	PhaseMS map[string]float64 `json:"phase_ms"`
 }
 
-// domainCNF is the CNF footprint of one shadow (ablated) encoder
-// configuration, compared against the live encoding.
+// domainCNF is the CNF footprint of the no-absint shadow encoder,
+// compared against the live encoding.
 type domainCNF struct {
 	Vars               int64   `json:"vars"`
 	Clauses            int64   `json:"clauses"`
@@ -158,9 +156,6 @@ func main() {
 		gateSlack  = flag.Float64("gate-slack", 25, "absolute per-phase slack in ms before the 20% gate applies")
 		floor      = flag.Float64("speedup-floor", 0, "fail the gate when total_measured_speedup drops below this (0 disables)")
 	)
-	flag.BoolVar(&noSigned, "no-signed", false, "disable the signed-interval abstract domain in the measured runs")
-	flag.BoolVar(&noCongruence, "no-congruence", false, "disable the congruence abstract domain in the measured runs")
-	flag.BoolVar(&noEq, "no-eq", false, "disable the equality abstract domain in the measured runs")
 	var ocli obs.CLI
 	ocli.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -287,12 +282,6 @@ func runMatrix(designs, list string, workers, reps int) []matrixEntry {
 	return out
 }
 
-// Per-domain ablation knobs (-no-signed/-no-congruence/-no-eq) let a
-// single benchrepair invocation measure the engine with one abstract
-// domain switched off — the complement of the per-domain shadow
-// columns, which price each domain without rerunning.
-var noSigned, noCongruence, noEq bool
-
 func loadBench(bm *bench.Benchmark) (*verilog.Module, *trace.Trace, core.Options) {
 	tr, err := bm.Trace()
 	if err != nil {
@@ -306,13 +295,10 @@ func loadBench(bm *bench.Benchmark) (*verilog.Module, *trace.Trace, core.Options
 	}
 	lib, _ := bm.LibModules()
 	return m, tr, core.Options{
-		Policy:       sim.Randomize,
-		Seed:         1,
-		Timeout:      120 * time.Second,
-		Lib:          lib,
-		NoSigned:     noSigned,
-		NoCongruence: noCongruence,
-		NoEq:         noEq,
+		Policy:  sim.Randomize,
+		Seed:    1,
+		Timeout: 120 * time.Second,
+		Lib:     lib,
 	}
 }
 
@@ -396,33 +382,29 @@ func measure(bm *bench.Benchmark, workers, reps int, sc obs.Scope, gating bool) 
 
 	dr.CNFVars, dr.CNFClauses, dr.SATConflicts, dr.SATPropagations = aggregateSAT(seqRes)
 
-	// One untimed sequential run with passive shadow encoders prices
-	// every domain at once: each shadow re-blasts the identical assert
-	// stream under an ablated configuration, so the columns compare the
-	// same search path rather than two separately scheduled repairs.
+	// One untimed sequential run with a passive shadow encoder prices
+	// the simplifier: the shadow re-blasts the identical assert stream
+	// with abstract interpretation off, so the columns compare the same
+	// search path rather than two separately scheduled repairs.
 	shOpts := opts
 	shOpts.Workers = 1
 	shOpts.ShadowCNF = true
-	shRes := core.Repair(m, tr, shOpts)
+	shRes := core.RepairCtx(context.Background(), m, tr, shOpts)
 	// Take the live CNF size from the shadow run too, so the reduction
 	// columns divide numbers from the very same encodings.
 	liveVars, liveClauses, _, _ := aggregateSAT(shRes)
 	dr.CNFVars, dr.CNFClauses = liveVars, liveClauses
-	dr.DomainCNF = map[string]domainCNF{}
-	for name, st := range shRes.Shadow {
-		dc := domainCNF{Vars: st.Vars, Clauses: st.Clauses}
-		if st.Vars > 0 {
-			dc.VarReductionPct = 100 * (1 - float64(liveVars)/float64(st.Vars))
-		}
-		if st.Clauses > 0 {
-			dc.ClauseReductionPct = 100 * (1 - float64(liveClauses)/float64(st.Clauses))
-		}
-		dr.DomainCNF[name] = dc
+	st := shRes.ShadowSAT
+	na := domainCNF{Vars: st.Vars, Clauses: st.Clauses}
+	if st.Vars > 0 {
+		na.VarReductionPct = 100 * (1 - float64(liveVars)/float64(st.Vars))
 	}
-	if na, ok := dr.DomainCNF["no-absint"]; ok {
-		dr.CNFVarsNoAbsint, dr.CNFClausesNoAbsint = na.Vars, na.Clauses
-		dr.CNFVarReduction, dr.CNFClauseReduction = na.VarReductionPct, na.ClauseReductionPct
+	if st.Clauses > 0 {
+		na.ClauseReductionPct = 100 * (1 - float64(liveClauses)/float64(st.Clauses))
 	}
+	dr.DomainCNF = map[string]domainCNF{"no-absint": na}
+	dr.CNFVarsNoAbsint, dr.CNFClausesNoAbsint = na.Vars, na.Clauses
+	dr.CNFVarReduction, dr.CNFClauseReduction = na.VarReductionPct, na.ClauseReductionPct
 	return dr
 }
 

@@ -97,8 +97,8 @@ func main() {
 			if !tr.Localized {
 				pass = "full"
 			}
-			fmt.Fprintf(os.Stderr, "  %-22s %-7s w%d  %-12s %s\n",
-				tr.Template, pass, tr.Worker, state, tr.Duration.Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "  %-22s %-7s %-12s %s\n",
+				tr.Template, pass, state, tr.Duration.Round(time.Millisecond))
 			st := tr.Stats.SAT
 			if st.Conflicts+st.Decisions+st.Propagations > 0 {
 				fmt.Fprintf(os.Stderr, "    sat: %d vars %d clauses | %d conflicts %d decisions %d propagations %d restarts %d learned\n",
@@ -120,6 +120,10 @@ func main() {
 		if ct := res.Certify; ct.ModelsValidated+ct.UnsatsCertified > 0 {
 			fmt.Fprintf(os.Stderr, "  total certify: %d models validated, %d unsat proofs checked in %s\n",
 				ct.ModelsValidated, ct.UnsatsCertified, ct.CheckTime.Round(time.Millisecond))
+		}
+		if sp := res.Speculative; sp.Attempts > 0 {
+			fmt.Fprintf(os.Stderr, "  speculative: %d preempted attempts ran on spare cores for %s (%d conflicts)\n",
+				sp.Attempts, sp.Duration.Round(time.Millisecond), sp.SAT.Conflicts)
 		}
 		if ocli.Tracer != nil {
 			fmt.Fprintln(os.Stderr, "  --- phase summary ---")

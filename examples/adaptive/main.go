@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -83,7 +84,7 @@ func main() {
 	}
 
 	run := func(label string, basic bool) *core.Result {
-		res := core.Repair(verilog.CloneModule(buggyMod), tr, core.Options{
+		res := core.RepairCtx(context.Background(), verilog.CloneModule(buggyMod), tr, core.Options{
 			Policy:  sim.Randomize,
 			Seed:    1,
 			Timeout: 90 * time.Second,

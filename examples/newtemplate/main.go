@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -89,13 +90,13 @@ endmodule`
 	}
 
 	fmt.Println("--- built-in templates only ---")
-	res := core.Repair(verilog.CloneModule(buggyMod), tr, core.Options{
+	res := core.RepairCtx(context.Background(), verilog.CloneModule(buggyMod), tr, core.Options{
 		Policy: sim.Randomize, Seed: 1, Timeout: 20 * time.Second,
 	})
 	fmt.Printf("status: %s (the three built-in templates cannot express an operand swap)\n\n", res.Status)
 
 	fmt.Println("--- with the custom Swap Operands template ---")
-	res = core.Repair(verilog.CloneModule(buggyMod), tr, core.Options{
+	res = core.RepairCtx(context.Background(), verilog.CloneModule(buggyMod), tr, core.Options{
 		Policy: sim.Randomize, Seed: 1, Timeout: 20 * time.Second,
 		Templates: append(core.DefaultTemplates(), SwapOperands{}),
 	})

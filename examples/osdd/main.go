@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -35,7 +36,7 @@ func main() {
 		m, merr := b.BuggyModule()
 		lib, _ := b.LibModules()
 		if terr == nil && merr == nil {
-			r := core.Repair(m, tr, core.Options{
+			r := core.RepairCtx(context.Background(), m, tr, core.Options{
 				Policy: sim.Randomize, Seed: 1, Timeout: 30 * time.Second, Lib: lib,
 			})
 			outcome = r.Status.String()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -74,7 +75,7 @@ func main() {
 	fmt.Print(csv.String())
 
 	fmt.Println("\n=== 4. Repair (Figures 2b-2d: templates + minimal-change synthesis) ===")
-	res := core.Repair(m, tr, core.Options{
+	res := core.RepairCtx(context.Background(), m, tr, core.Options{
 		Policy:  sim.Randomize,
 		Seed:    1,
 		Timeout: 30 * time.Second,

@@ -1,6 +1,7 @@
 package rtlrepair_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestIncrementalWindowReusesSolver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := core.Repair(m, tr, core.Options{
+			res := core.RepairCtx(context.Background(), m, tr, core.Options{
 				Policy:  sim.Randomize,
 				Seed:    1,
 				Timeout: 120 * time.Second,

@@ -8,7 +8,7 @@ import (
 )
 
 // evenCounterSrc only ever holds even values in count (init 0, +2
-// steps), so the congruence domain proves count[0] == 0 as a
+// steps), so the known-bits domain proves count[0] == 0 as a
 // reachability invariant: the count[0] branch is dead, the odd case
 // arms are unreachable, and flag — assigned only on those dead paths —
 // is a constant net.

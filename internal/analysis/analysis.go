@@ -174,7 +174,7 @@ type Options struct {
 	// elaboration plus a reachability fixpoint over the transition
 	// system. rtllint turns it on; the repair frontend leaves it off —
 	// repair doesn't consume these diagnostics and the fixpoint would
-	// tax every core.Repair call.
+	// tax every core.RepairCtx call.
 	Facts bool
 }
 

@@ -45,7 +45,7 @@ type Result struct {
 	// Counterexample drives the design into the violation: inputs are
 	// concrete, expected outputs are all don't-care except the property
 	// output at the failing cycle, which demands 1. Feeding this trace
-	// to core.Repair asks for a repair that removes the violation.
+	// to core.RepairCtx asks for a repair that removes the violation.
 	Counterexample *trace.Trace
 	// InitialState is the starting register assignment of the
 	// counterexample.

@@ -1,6 +1,7 @@
 package bmc
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -129,7 +130,7 @@ endmodule`
 	if err != nil || !res.Violated {
 		t.Fatalf("bmc: %v violated=%v", err, res != nil && res.Violated)
 	}
-	rep := core.Repair(m, res.Counterexample, core.Options{
+	rep := core.RepairCtx(context.Background(), m, res.Counterexample, core.Options{
 		Policy:  sim.Zero, // the BMC trace has concrete inputs; keep init at declared values
 		Seed:    1,
 		Timeout: 30 * time.Second,

@@ -1,6 +1,7 @@
 package bmc
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -93,7 +94,7 @@ func RepairLoop(m *verilog.Module, opts LoopOptions) *LoopResult {
 		traces = append(traces, check.Counterexample)
 		res.Iterations = iter + 1
 
-		rep := core.RepairMulti(m, traces, core.Options{
+		rep := core.RepairMultiCtx(context.Background(), m, traces, core.Options{
 			Policy:  0, // zero unknowns: counterexample traces are concrete
 			Seed:    1,
 			Timeout: time.Until(deadline),

@@ -97,12 +97,12 @@ func TestRepairMultiCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRepairMultiAggregatesStats is the regression test for RepairMulti
+// TestRepairMultiAggregatesStats is the regression test for RepairMultiCtx
 // never populating Result.SAT: the multi-trace solver's statistics must
 // land on the result even on the successful path.
 func TestRepairMultiAggregatesStats(t *testing.T) {
 	buggy := strings.Replace(goodCounter, "count + 1", "count + 2", 1)
-	res := RepairMulti(mustParse(t, buggy), twoTraces(t), repairOpts())
+	res := RepairMultiCtx(context.Background(), mustParse(t, buggy), twoTraces(t), repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -130,7 +130,7 @@ func TestFrontendReuse(t *testing.T) {
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
 	m := mustParse(t, buggyCounter)
-	base := Repair(m, tr, repairOpts())
+	base := RepairCtx(context.Background(), m, tr, repairOpts())
 	if base.Status != StatusRepaired {
 		t.Fatalf("baseline status = %v (%s)", base.Status, base.Reason)
 	}
@@ -141,7 +141,7 @@ func TestFrontendReuse(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		opts := repairOpts()
 		opts.Frontend = fe
-		res := Repair(m, tr, opts)
+		res := RepairCtx(context.Background(), m, tr, opts)
 		if res.Status != StatusRepaired {
 			t.Fatalf("run %d: status = %v (%s)", i, res.Status, res.Reason)
 		}

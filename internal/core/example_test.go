@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -12,9 +13,9 @@ import (
 	"rtlrepair/internal/verilog"
 )
 
-// ExampleRepair repairs the paper's counter (Figure 1) from a five-cycle
+// ExampleRepairCtx repairs the paper's counter (Figure 1) from a five-cycle
 // I/O trace.
-func ExampleRepair() {
+func ExampleRepairCtx() {
 	buggy := `
 module first_counter(input clock, input reset, input enable,
                      output reg [3:0] count, output reg overflow);
@@ -44,7 +45,7 @@ endmodule`
 	row(0, 1, bv.KU(4, 1))
 	row(0, 0, bv.KU(4, 2)) // and hold while disabled
 
-	res := core.Repair(m, tr, core.Options{
+	res := core.RepairCtx(context.Background(), m, tr, core.Options{
 		Policy:  sim.Randomize,
 		Seed:    1,
 		Timeout: 30 * time.Second,

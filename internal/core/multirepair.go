@@ -12,7 +12,7 @@ import (
 	"rtlrepair/internal/verilog"
 )
 
-// Candidate is one alternative repair produced by RepairAll.
+// Candidate is one alternative repair produced by RepairAllCtx.
 type Candidate struct {
 	Repaired    *verilog.Module
 	Changes     int
@@ -20,20 +20,16 @@ type Candidate struct {
 	ChangeDescs []string
 }
 
-// RepairAll implements the extension suggested in §6.4: instead of
+// RepairAllCtx implements the extension suggested in §6.4: instead of
 // returning the first minimal repair, it samples up to maxCandidates
 // distinct trace-passing repairs across all templates so a user can pick
 // the one matching their intent. Candidates are ordered by (changes,
 // template order) and deduplicated by their repaired source text.
-func RepairAll(m *verilog.Module, tr *trace.Trace, opts Options, maxCandidates int) []Candidate {
-	return RepairAllCtx(context.Background(), m, tr, opts, maxCandidates)
-}
-
-// RepairAllCtx is RepairAll with context-based cancellation: a cancelled
-// or deadline-expired ctx stops the sampling promptly (the cancellation
-// trips the SAT search's cooperative interrupt flag) and the candidates
-// collected so far are returned. The effective deadline is the earlier
-// of ctx's deadline and opts.Timeout.
+//
+// A cancelled or deadline-expired ctx stops the sampling promptly (the
+// cancellation trips the SAT search's cooperative interrupt flag) and
+// the candidates collected so far are returned. The effective deadline
+// is the earlier of ctx's deadline and opts.Timeout.
 func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Options, maxCandidates int) []Candidate {
 	if opts.Timeout == 0 {
 		opts.Timeout = 60 * time.Second
@@ -92,7 +88,6 @@ func RepairAllCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts 
 		sopts.Interrupt = &stop
 		sopts.Certify = opts.Certify
 		sopts.NoAbsint = opts.NoAbsint
-		sopts.Domains = opts.domainConfig()
 		sopts.ShadowCNF = opts.ShadowCNF
 		// Sample more aggressively than the single-repair flow.
 		sopts.MaxSamples = maxCandidates * 2

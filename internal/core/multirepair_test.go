@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"rtlrepair/internal/smt"
@@ -11,7 +12,7 @@ import (
 func TestRepairAllSamplesDistinctRepairs(t *testing.T) {
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	cands := RepairAll(mustParse(t, buggyCounter), tr, repairOpts(), 4)
+	cands := RepairAllCtx(context.Background(), mustParse(t, buggyCounter), tr, repairOpts(), 4)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -43,7 +44,7 @@ func TestRepairAllSamplesDistinctRepairs(t *testing.T) {
 func TestRepairAllEmptyForPassingDesign(t *testing.T) {
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	cands := RepairAll(mustParse(t, goodCounter), tr, repairOpts(), 4)
+	cands := RepairAllCtx(context.Background(), mustParse(t, goodCounter), tr, repairOpts(), 4)
 	if len(cands) != 0 {
 		t.Fatalf("got %d candidates for a passing design", len(cands))
 	}

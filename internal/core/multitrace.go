@@ -17,19 +17,15 @@ import (
 	"rtlrepair/internal/verilog"
 )
 
-// RepairMulti repairs a design against several traces simultaneously:
+// RepairMultiCtx repairs a design against several traces simultaneously:
 // the synthesis variables are shared across one unrolling per trace, so
 // the chosen repair must make every trace pass. Each trace restarts the
 // design from its power-on state (this is the CEGIS building block used
 // by internal/bmc — counterexample traces all start from reset). Because
 // every trace is fully unrolled, this entry is meant for the short
 // traces BMC produces, not for 100k-cycle testbenches.
-func RepairMulti(m *verilog.Module, traces []*trace.Trace, opts Options) *Result {
-	return RepairMultiCtx(context.Background(), m, traces, opts)
-}
-
-// RepairMultiCtx is RepairMulti with context-based cancellation: a
-// cancelled or deadline-expired ctx interrupts the running SAT query
+//
+// A cancelled or deadline-expired ctx interrupts the running SAT query
 // (via the solver's cooperative interrupt flag) and the result reports
 // StatusTimeout with the partial SAT/certify statistics accumulated so
 // far aggregated onto it. The effective deadline is the earlier of
@@ -158,7 +154,9 @@ func solveMultiTrace(ctx *smt.Context, sys *tsys.System, vars *VarTable, traces 
 		res.SAT.Add(solver.SATStats())
 		res.Certify.Add(solver.CertifyStats())
 	}()
-	solver.SetDomains(opts.domainConfig())
+	if opts.NoAbsint {
+		solver.DisableSimplify()
+	}
 	if opts.Certify {
 		solver.EnableCertification()
 	}

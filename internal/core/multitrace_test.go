@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func twoTraces(t *testing.T) []*trace.Trace {
 
 func TestRepairMultiSatisfiesAllTraces(t *testing.T) {
 	buggy := strings.Replace(goodCounter, "count + 1", "count + 2", 1)
-	res := RepairMulti(mustParse(t, buggy), twoTraces(t), repairOpts())
+	res := RepairMultiCtx(context.Background(), mustParse(t, buggy), twoTraces(t), repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -44,14 +45,14 @@ func TestRepairMultiSatisfiesAllTraces(t *testing.T) {
 }
 
 func TestRepairMultiNoRepairNeeded(t *testing.T) {
-	res := RepairMulti(mustParse(t, goodCounter), twoTraces(t), repairOpts())
+	res := RepairMultiCtx(context.Background(), mustParse(t, goodCounter), twoTraces(t), repairOpts())
 	if res.Status != StatusNoRepairNeeded {
 		t.Fatalf("status = %v", res.Status)
 	}
 }
 
 func TestRepairMultiEmptyTraceList(t *testing.T) {
-	res := RepairMulti(mustParse(t, goodCounter), nil, repairOpts())
+	res := RepairMultiCtx(context.Background(), mustParse(t, goodCounter), nil, repairOpts())
 	if res.Status != StatusNoRepairNeeded {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -64,7 +65,7 @@ always @(clk) begin
   if (en) q <= q + 1;
 end
 endmodule`
-	res := RepairMulti(mustParse(t, src), twoTraces(t), repairOpts())
+	res := RepairMultiCtx(context.Background(), mustParse(t, src), twoTraces(t), repairOpts())
 	if res.Status != StatusCannotRepair {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -80,11 +81,11 @@ func TestRepairMultiJointConstraint(t *testing.T) {
 	// buggy increment (nothing increments there) — the design passes it
 	// outright. Jointly, the counting trace forces the fix while the
 	// hold trace guards against overwrite-style overfits.
-	resHoldOnly := RepairMulti(mustParse(t, buggy), traces[1:], repairOpts())
+	resHoldOnly := RepairMultiCtx(context.Background(), mustParse(t, buggy), traces[1:], repairOpts())
 	if resHoldOnly.Status != StatusNoRepairNeeded {
 		t.Fatalf("hold-only status = %v, want no-repair-needed (bug invisible)", resHoldOnly.Status)
 	}
-	resJoint := RepairMulti(mustParse(t, buggy), traces, repairOpts())
+	resJoint := RepairMultiCtx(context.Background(), mustParse(t, buggy), traces, repairOpts())
 	if resJoint.Status != StatusRepaired {
 		t.Fatalf("joint status = %v", resJoint.Status)
 	}

@@ -52,7 +52,7 @@ func TestPortfolioTracingRace(t *testing.T) {
 
 // TestRepairResultAggregatesAlways checks satellite invariant: the SAT
 // and certification aggregates land on the Result with observability
-// fully disabled (plain core.Repair, zero scope), so a -metrics-out or
+// fully disabled (context.Background(), zero scope), so a -metrics-out or
 // -v consumer never depends on the other being enabled.
 func TestRepairResultAggregatesAlways(t *testing.T) {
 	ins, outs := counterIO()
@@ -60,7 +60,7 @@ func TestRepairResultAggregatesAlways(t *testing.T) {
 	opts := repairOpts()
 	opts.Workers = 1
 	opts.Certify = true
-	res := Repair(mustParse(t, buggyCounter), tr, opts)
+	res := RepairCtx(context.Background(), mustParse(t, buggyCounter), tr, opts)
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (reason %s)", res.Status, res.Reason)
 	}

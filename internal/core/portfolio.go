@@ -108,7 +108,7 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		baseRun:  baseRun,
 		deadline: deadline,
 		opts:     opts,
-		prefix:   NewPrefixCache(fe.Sys, ctr, init),
+		prefix:   NewPrefixCache(fe.Sys, ctr, init, nil),
 	}
 	if !opts.NoClauseShare {
 		p.exch = sat.NewExchange()
@@ -154,7 +154,7 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		// those attempts return immediately, reproducing the sequential
 		// early exit.
 		for _, at := range p.attempts {
-			p.runAttempt(at, 0, false)
+			p.runAttempt(at, 0)
 		}
 	} else {
 		sched := newStealScheduler(len(p.attempts), workers, speculationCapacity())
@@ -164,11 +164,11 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 			go func(w int) {
 				defer wg.Done()
 				for {
-					idx, stolen, ok := sched.next(w)
+					idx, _, ok := sched.next(w)
 					if !ok {
 						return
 					}
-					p.runAttempt(p.attempts[idx], w, stolen)
+					p.runAttempt(p.attempts[idx], w)
 					sched.finish()
 				}
 			}(w)
@@ -180,15 +180,11 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 
 	var busy time.Duration
 	for _, at := range p.attempts {
-		res.PerTemplate = append(res.PerTemplate, at.tres)
-		res.SAT.Add(at.tres.Stats.SAT)
-		res.Certify.Add(at.tres.Stats.Certify)
-		res.Abs.Add(at.tres.Stats.Abs)
-		res.addShadow(at.tres.Stats.Shadow)
 		if at.tres.State != AttemptSkipped {
 			busy += at.tres.Duration
 		}
 	}
+	p.report(res)
 	// Scheduler health metrics: steals, the shared-prefix cache's work,
 	// and worker utilization (busy attempt time over workers × wall).
 	// These land in the run's metrics registry, so serve-mode exposes
@@ -265,13 +261,61 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 	res.Reason = "no template found a repair"
 }
 
+// report fills res.PerTemplate with one row per (pass, template) of the
+// sequential schedule and aggregates the rows' solver statistics. An
+// attempt that an earlier attempt's repair preempts never starts on the
+// sequential engine, so its row is AttemptSkipped whatever happened to
+// it here; work it did on a spare core is accounted in res.Speculative
+// instead. Every attempt the sequential engine would run is never
+// cancelled by a sibling and computes the same outcome at any worker
+// count, so the rows and aggregates are independent of the worker count
+// and of how many cores the speculation throttle let run at once.
+func (p *portfolio) report(res *Result) {
+	for _, at := range p.attempts {
+		row := at.tres
+		if p.preempted(at) {
+			if row.State != AttemptSkipped {
+				res.Speculative.Attempts++
+				res.Speculative.Duration += row.Duration
+				res.Speculative.SAT.Add(row.Stats.SAT)
+			}
+			row = TemplateResult{Template: at.tmpl.Name(), Localized: at.loc != nil,
+				State: AttemptSkipped, Cancelled: true, Err: ErrCancelled}
+		}
+		res.PerTemplate = append(res.PerTemplate, row)
+		res.SAT.Add(row.Stats.SAT)
+		res.Certify.Add(row.Stats.Certify)
+		res.Abs.Add(row.Stats.Abs)
+		res.ShadowSAT.Add(row.Stats.ShadowSAT)
+		p.obs.Metrics.Add("portfolio.attempts", 1)
+		p.obs.Metrics.Add("portfolio.attempts."+row.State, 1)
+	}
+	p.obs.Metrics.Add("portfolio.speculative.attempts", int64(res.Speculative.Attempts))
+}
+
+// preempted reports whether some attempt's repair stops at before the
+// sequential engine would reach it: any repair of an earlier pass, or an
+// acceptable repair of an earlier template in the same pass (the rule
+// cancelSiblings enforces).
+func (p *portfolio) preempted(at *attempt) bool {
+	for _, o := range p.attempts {
+		if o.candidate == nil {
+			continue
+		}
+		if o.pass < at.pass || (o.pass == at.pass && o.tmplIdx < at.tmplIdx &&
+			o.candidate.Changes <= p.opts.MaxAcceptableChanges) {
+			return true
+		}
+	}
+	return false
+}
+
 // runAttempt executes one attempt on its own smt.Context — a layer over
 // the frontend's frozen context — and synthesis variable namespace. On
 // success it stores a verified candidate and cancels the siblings the
 // sequential engine would never have run.
-func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
-	at.tres = TemplateResult{Template: at.tmpl.Name(), Localized: at.loc != nil,
-		Worker: worker, Stolen: stolen, State: AttemptRan}
+func (p *portfolio) runAttempt(at *attempt, worker int) {
+	at.tres = TemplateResult{Template: at.tmpl.Name(), Localized: at.loc != nil, State: AttemptRan}
 	start := time.Now()
 	// The attempt span is keyed by (pass, template) — stable across
 	// worker counts and scheduling — and carries the worker lane. Worker
@@ -295,8 +339,6 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 		asc.End()
 		p.obs.Metrics.Add(fmt.Sprintf("portfolio.worker.%d.busy_us", worker),
 			at.tres.Duration.Microseconds())
-		p.obs.Metrics.Add("portfolio.attempts", 1)
-		p.obs.Metrics.Add("portfolio.attempts."+at.tres.State, 1)
 	}()
 
 	if at.stop.Load() {
@@ -350,7 +392,6 @@ func (p *portfolio) runAttempt(at *attempt, worker int, stolen bool) {
 	sopts.Interrupt = &at.stop
 	sopts.Certify = p.opts.Certify
 	sopts.NoAbsint = p.opts.NoAbsint
-	sopts.Domains = p.opts.domainConfig()
 	sopts.ShadowCNF = p.opts.ShadowCNF
 	sopts.SharedPrefix = p.prefix
 	if p.exch != nil {

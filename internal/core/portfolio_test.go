@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rtlrepair/internal/bench"
+	"rtlrepair/internal/sim"
 	"rtlrepair/internal/verilog"
 )
 
@@ -39,7 +43,7 @@ func TestPortfolioDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		opts := repairOpts()
 		opts.Workers = workers
-		res := Repair(mustParse(t, m), tr, opts)
+		res := RepairCtx(context.Background(), mustParse(t, m), tr, opts)
 		if res.Status != StatusRepaired {
 			t.Fatalf("workers=%d: status = %v (%s)", workers, res.Status, res.Reason)
 		}
@@ -54,6 +58,57 @@ func TestPortfolioDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// perTemplateKey renders the rows of Result.PerTemplate without their
+// wall-clock fields (Duration, certification time), which are the only
+// parts allowed to vary between runs.
+func perTemplateKey(res *Result) string {
+	var b strings.Builder
+	for _, r := range res.PerTemplate {
+		st := r.Stats
+		st.Certify.CheckTime = 0
+		fmt.Fprintf(&b, "%s localized=%v state=%s found=%v changes=%d sites=%d cancelled=%v err=%v stats=%+v\n",
+			r.Template, r.Localized, r.State, r.Found, r.Changes, r.Sites, r.Cancelled, r.Err, st)
+	}
+	fmt.Fprintf(&b, "total sat=%+v abs=%+v\n", res.SAT, res.Abs)
+	return b.String()
+}
+
+// The per-template report is a function of the sequential schedule, not
+// of how many attempts the speculation throttle let run at once: the
+// rows (and the aggregates built from them) must be identical at
+// GOMAXPROCS 1, 2 and 4 with the default worker count.
+func TestPerTemplateIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, name := range []string{"counter_k1", "counter_w2", "mux_w2"} {
+		b := bench.ByName(name)
+		tr, err := b.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			m, err := b.BuggyModule()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := RepairCtx(context.Background(), m, tr,
+				Options{Policy: sim.Randomize, Seed: 1, Timeout: 60 * time.Second})
+			if res.Status != StatusRepaired {
+				t.Fatalf("%s GOMAXPROCS=%d: status = %v (%s)", name, procs, res.Status, res.Reason)
+			}
+			got := perTemplateKey(res)
+			if procs == 1 {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("%s: rows at GOMAXPROCS=%d differ from GOMAXPROCS=1:\n%s\nvs\n%s", name, procs, got, want)
+			}
+		}
+	}
+}
+
 // Every worker goroutine must exit once runPortfolio returns, even when
 // cancellation stops attempts mid-solve.
 func TestPortfolioNoGoroutineLeak(t *testing.T) {
@@ -62,11 +117,11 @@ func TestPortfolioNoGoroutineLeak(t *testing.T) {
 	// Warm up any lazily started runtime goroutines before measuring.
 	opts := repairOpts()
 	opts.Workers = 4
-	Repair(mustParse(t, buggyCounter), tr, opts)
+	RepairCtx(context.Background(), mustParse(t, buggyCounter), tr, opts)
 
 	before := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		Repair(mustParse(t, buggyCounter), tr, opts)
+		RepairCtx(context.Background(), mustParse(t, buggyCounter), tr, opts)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -106,7 +161,7 @@ func TestPortfolioRecordsAllAttempts(t *testing.T) {
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
 	opts := repairOpts()
 	opts.Workers = 2
-	res := Repair(mustParse(t, buggyCounter), tr, opts)
+	res := RepairCtx(context.Background(), mustParse(t, buggyCounter), tr, opts)
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}

@@ -37,14 +37,17 @@ type PrefixCache struct {
 	hits      int64 // stateAt calls answered without simulating
 }
 
-// NewPrefixCache builds the shared prefix cache for one (design, trace,
-// initial state) triple. sys must be the uninstrumented elaborated
-// system; init must assign every state (use Concretize).
-func NewPrefixCache(sys *tsys.System, tr *trace.Trace, init map[string]bv.XBV) *PrefixCache {
+// NewPrefixCache builds the prefix cache for one (design, trace,
+// initial state) triple. init must assign every state (use Concretize).
+// For an instrumented system, params assigns every synthesis variable
+// (φ = 0, α = 0, so no change is enabled); it is nil for the
+// uninstrumented elaborated system.
+func NewPrefixCache(sys *tsys.System, tr *trace.Trace, init map[string]bv.XBV, params map[string]bv.BV) *PrefixCache {
 	cs := sim.NewCycleSim(sys, sim.Zero, 0)
 	for name, v := range init {
 		cs.SetState(name, v)
 	}
+	cs.SetParams(params)
 	widths := make(map[string]int, len(sys.States))
 	for _, st := range sys.States {
 		widths[st.Var.Name] = st.Var.Width
@@ -59,11 +62,8 @@ func NewPrefixCache(sys *tsys.System, tr *trace.Trace, init map[string]bv.XBV) *
 }
 
 // StateAt returns the register state after the first `cycles` trace rows
-// of the unmodified design, extending the cache if needed. The second
-// result is how many cycles this call had to simulate (0 on a cache
-// hit) — callers fold it into their PrefixCycles statistic so the
-// counter still measures total simulation work.
-func (p *PrefixCache) StateAt(cycles int) (map[string]bv.XBV, int) {
+// of the unmodified design, extending the cache if needed.
+func (p *PrefixCache) StateAt(cycles int) map[string]bv.XBV {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	simulated := 0
@@ -76,7 +76,7 @@ func (p *PrefixCache) StateAt(cycles int) (map[string]bv.XBV, int) {
 		p.hits++
 	}
 	p.simulated += int64(simulated)
-	return p.snaps[cycles], simulated
+	return p.snaps[cycles]
 }
 
 func (p *PrefixCache) inputsAt(cycle int) map[string]bv.XBV {
@@ -90,8 +90,8 @@ func (p *PrefixCache) inputsAt(cycle int) map[string]bv.XBV {
 // Covers reports whether the cache's snapshots are valid start states
 // for the given instrumented system: the state spaces must match
 // exactly. A template that added or dropped registers (none of the
-// current ones do) makes the attempt fall back to its private prefix
-// simulation rather than risk a wrong start state.
+// current ones do) makes the attempt fall back to a private prefix
+// cache rather than risk a wrong start state.
 func (p *PrefixCache) Covers(sys *tsys.System) bool {
 	if len(sys.States) != len(p.widths) {
 		return false

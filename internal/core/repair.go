@@ -97,16 +97,10 @@ type Options struct {
 	// NoAbsint disables the abstract-interpretation term simplifier
 	// (ablation / A/B measurement of its CNF impact).
 	NoAbsint bool
-	// NoSigned/NoCongruence/NoEq disable individual abstract domains in
-	// the simplifier's reduced product (per-domain ablation); known-bits
-	// and unsigned intervals always run unless NoAbsint is set.
-	NoSigned     bool
-	NoCongruence bool
-	NoEq         bool
-	// ShadowCNF attaches passive shadow encoders (no-absint plus one
-	// per-domain ablation) to every window solver: they receive the same
-	// asserts along the identical search path but never solve, yielding
-	// apples-to-apples per-domain CNF size deltas in Result.Stats.
+	// ShadowCNF attaches a passive no-absint shadow encoder to every
+	// window solver: it receives the same asserts along the identical
+	// search path but never solves, yielding an apples-to-apples CNF size
+	// delta of the simplifier in Result.ShadowSAT.
 	ShadowCNF bool
 	// NoClauseShare disables the learned-clause exchange between the
 	// window solvers of each portfolio attempt (ablation). Sharing is
@@ -122,16 +116,6 @@ type Options struct {
 	// no frontend cost. The artifact must have been built from the same
 	// module and lib with the same NoPreprocess setting.
 	Frontend *Frontend
-}
-
-// domainConfig folds the per-domain ablation flags into a DomainConfig.
-func (o *Options) domainConfig() smt.DomainConfig {
-	return smt.DomainConfig{
-		Disable:      o.NoAbsint,
-		NoSigned:     o.NoSigned,
-		NoCongruence: o.NoCongruence,
-		NoEq:         o.NoEq,
-	}
 }
 
 // frozenSet converts the Frozen option into the template Env form.
@@ -182,17 +166,22 @@ type TemplateResult struct {
 	Duration  time.Duration
 	Err       error
 	Stats     SynthStats
-	// Worker is the portfolio worker that ran the attempt (0 when
-	// sequential).
-	Worker int
 	// Cancelled is true when the portfolio stopped the attempt because a
 	// sibling's repair made its outcome irrelevant.
 	Cancelled bool
 	// State is AttemptRan, AttemptCancelled, or AttemptSkipped.
 	State string
-	// Stolen is true when a work-stealing worker executed an attempt
-	// seeded to another worker's deque.
-	Stolen bool
+}
+
+// SpeculativeStats accounts portfolio work outside the sequential
+// schedule: attempts that started on a spare core before an earlier
+// attempt's repair preempted them. How much of it happens depends on
+// the worker and core counts, so it is kept out of Result.PerTemplate
+// and the Result-level solver aggregates.
+type SpeculativeStats struct {
+	Attempts int            // preempted attempts that started anyway
+	Duration time.Duration  // their summed wall time
+	SAT      sat.Statistics // their CDCL work
 }
 
 // Result is the outcome of a repair run.
@@ -206,8 +195,14 @@ type Result struct {
 	ChangeDescs []string
 	// FirstFailure is the original trace failure cycle (-1 if passing).
 	FirstFailure int
-	// PerTemplate holds each template attempt in order.
+	// PerTemplate holds one row per (localization pass, template) in
+	// sequential order, as the sequential engine would run them: an
+	// attempt preempted by an earlier repair is AttemptSkipped even when
+	// a spare core started it (see Speculative).
 	PerTemplate []TemplateResult
+	// Speculative accounts the portfolio work the sequential engine
+	// would not have done.
+	Speculative SpeculativeStats
 	// Window is the final (k_past, k_future) of the successful synth.
 	Window   [2]int
 	Duration time.Duration
@@ -219,8 +214,8 @@ type Result struct {
 	// Localization is the fault localization used to prune template
 	// sites (nil when disabled or when the design passed).
 	Localization *analysis.Localization
-	// SAT aggregates the CDCL statistics of every solver across every
-	// template attempt. Always populated — regardless of verbosity — so
+	// SAT aggregates the CDCL statistics of every solver across the
+	// PerTemplate rows. Always populated — regardless of verbosity — so
 	// -metrics-out and the -v summary report the same numbers.
 	SAT sat.Statistics
 	// Certify aggregates the certification work (model validations, DRUP
@@ -229,25 +224,10 @@ type Result struct {
 	// Abs aggregates abstract-interpretation statistics (facts learned,
 	// rewrites, never-worse guard fallbacks) across the same solvers.
 	Abs smt.AbsStats
-	// Shadow holds per-configuration CNF statistics from the passive
-	// shadow encoders (Options.ShadowCNF), keyed by config name
-	// ("no-absint", "no-signed", ...). Nil unless ShadowCNF was set.
-	Shadow map[string]sat.Statistics
-}
-
-// addShadow folds per-config shadow statistics into the result.
-func (r *Result) addShadow(sh map[string]sat.Statistics) {
-	if len(sh) == 0 {
-		return
-	}
-	if r.Shadow == nil {
-		r.Shadow = map[string]sat.Statistics{}
-	}
-	for name, st := range sh {
-		v := r.Shadow[name]
-		v.Add(st)
-		r.Shadow[name] = v
-	}
+	// ShadowSAT aggregates the CNF statistics of the passive no-absint
+	// shadow encoders (Options.ShadowCNF) across the same solvers. Zero
+	// unless ShadowCNF was set.
+	ShadowSAT sat.Statistics
 }
 
 // Frontend is the reusable result of the repair pipeline's frontend:
@@ -380,12 +360,6 @@ func RehydrateFrontend(fixed *verilog.Module, lib map[string]*verilog.Module, fi
 	return fe
 }
 
-// Repair runs the full RTL-Repair flow of Figure 3 on a buggy module and
-// an I/O trace.
-func Repair(m *verilog.Module, tr *trace.Trace, opts Options) *Result {
-	return RepairCtx(context.Background(), m, tr, opts)
-}
-
 // cancelReason renders a context error as a Result reason.
 func cancelReason(err error) string {
 	if err == context.Canceled {
@@ -412,7 +386,8 @@ func watchCancel(ctx context.Context, flag *atomic.Bool) (release func()) {
 	return func() { close(done) }
 }
 
-// RepairCtx is Repair with two context roles. First, cancellation: a
+// RepairCtx runs the full RTL-Repair flow of Figure 3 on a buggy module
+// and an I/O trace. ctx has two roles. First, cancellation: a
 // cancelled or deadline-expired ctx stops the repair promptly — the
 // cancellation is mirrored onto the portfolio attempts' cooperative
 // stop flags, which the SAT search loops poll — and the result reports

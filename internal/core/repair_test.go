@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -120,7 +121,7 @@ func checkRepairPasses(t *testing.T, res *Result, tr *trace.Trace) {
 func TestRepairMissingReset(t *testing.T) {
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	res := Repair(mustParse(t, buggyCounter), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggyCounter), tr, repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (reason %s)", res.Status, res.Reason)
 	}
@@ -141,7 +142,7 @@ func TestRepairWrongIncrement(t *testing.T) {
 	buggy := strings.Replace(goodCounter, "count + 1", "count + 2", 1)
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -185,7 +186,7 @@ endmodule`
 		{bv.KU(1, 0), bv.KU(1, 1)},
 	}
 	tr := recordGolden(t, good, ins, outs, rows)
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -215,7 +216,7 @@ endmodule`
 		})
 	}
 	tr := recordGolden(t, good, ins, outs, rows)
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -229,7 +230,7 @@ endmodule`
 func TestNoRepairNeeded(t *testing.T) {
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	res := Repair(mustParse(t, goodCounter), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, goodCounter), tr, repairOpts())
 	if res.Status != StatusNoRepairNeeded {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -243,7 +244,7 @@ func TestRepairedByPreprocessing(t *testing.T) {
 	buggy := strings.ReplaceAll(goodCounter, "<=", "=")
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusPreprocessed {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -265,7 +266,7 @@ endmodule`
 	outs := []trace.Signal{{Name: "q", Width: 4}}
 	tr := trace.New(ins, outs)
 	tr.AddRow([]bv.XBV{bv.KU(1, 1)}, []bv.XBV{bv.KU(4, 1)})
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusCannotRepair {
 		t.Fatalf("status = %v", res.Status)
 	}
@@ -331,7 +332,7 @@ func TestBasicSynthesizerAlsoRepairs(t *testing.T) {
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
 	opts := repairOpts()
 	opts.Basic = true
-	res := Repair(mustParse(t, buggyCounter), tr, opts)
+	res := RepairCtx(context.Background(), mustParse(t, buggyCounter), tr, opts)
 	if res.Status != StatusRepaired {
 		t.Fatalf("basic synth status = %v (%s)", res.Status, res.Reason)
 	}
@@ -352,7 +353,7 @@ func TestWindowedScalesToLongTrace(t *testing.T) {
 	}
 	tr := recordGolden(t, goodCounter, ins, outs, rows)
 	buggy := strings.Replace(goodCounter, "count + 1", "count + 3", 1)
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -369,7 +370,7 @@ func TestRepairChangeDescriptions(t *testing.T) {
 	buggy := strings.Replace(goodCounter, "count + 1", "count + 2", 1)
 	ins, outs := counterIO()
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusRepaired || len(res.ChangeDescs) == 0 {
 		t.Fatalf("no change descriptions: %+v", res)
 	}

@@ -51,23 +51,19 @@ type SynthOptions struct {
 	// NoAbsint disables the abstract-interpretation term simplifier
 	// (A/B measurement of its CNF impact).
 	NoAbsint bool
-	// Domains selects which abstract domains run in the window solvers'
-	// simplifier (per-domain A/B knobs); NoAbsint above forces
-	// Domains.Disable for compatibility.
-	Domains smt.DomainConfig
-	// ShadowCNF attaches passive shadow encoders to every window solver:
-	// one with the simplifier off plus one per-domain ablation. Shadows
-	// blast the identical assert stream but never solve, so their CNF
-	// statistics measure each configuration's encoding size along the
-	// exact search path the live run takes (cmd/benchrepair A/B columns
-	// and the corpus never-worse test).
+	// ShadowCNF attaches a passive no-absint shadow encoder to every
+	// window solver. The shadow blasts the identical assert stream with
+	// the simplifier off but never solves, so its CNF statistics measure
+	// the unsimplified encoding size along the exact search path the
+	// live run takes (cmd/benchrepair A/B columns and the corpus
+	// never-worse test).
 	ShadowCNF bool
 	// SharedPrefix, when non-nil, serves window start states from a
-	// portfolio-wide snapshot cache instead of this synthesizer's
-	// private prefix simulation. Only used when the cache Covers this
-	// synthesizer's state space (template instrumentation is
-	// behaviour-preserving at φ = 0, so the prefix states coincide);
-	// otherwise the private path runs as before.
+	// portfolio-wide snapshot cache instead of a private one. Only used
+	// when the cache Covers this synthesizer's state space (template
+	// instrumentation is behaviour-preserving at φ = 0, so the prefix
+	// states coincide); otherwise a private cache over the instrumented
+	// system serves them.
 	SharedPrefix *PrefixCache
 	// Share joins every window solver this synthesizer builds to a
 	// learned-clause exchange room named ShareNS. Within one
@@ -115,10 +111,6 @@ type SynthStats struct {
 	// ExtendedCycles counts trace cycles appended incrementally to a live
 	// solver's clause database instead of being re-encoded.
 	ExtendedCycles int
-	// PrefixCycles counts concrete simulation steps spent computing
-	// window start states (cached, so it stays linear in the trace
-	// prefix instead of quadratic in the number of windows).
-	PrefixCycles int
 	// SAT aggregates the underlying CDCL statistics across every solver
 	// this synthesizer built (retired window encodings included).
 	SAT sat.Statistics
@@ -128,63 +120,13 @@ type SynthStats struct {
 	// Abs aggregates abstract-interpretation work (facts learned,
 	// rewrites, never-worse guard fallbacks) across the same solvers.
 	Abs smt.AbsStats
-	// Shadow holds per-configuration CNF statistics from the shadow
-	// encoders when SynthOptions.ShadowCNF is on (key: config name).
-	Shadow map[string]sat.Statistics
+	// ShadowSAT aggregates the no-absint shadow encoders' CNF statistics
+	// when SynthOptions.ShadowCNF is on (zero otherwise).
+	ShadowSAT sat.Statistics
 	// FactCacheHits/FactCacheSize report the cross-window base-fact
 	// cache: hits are transfer computations served from earlier windows.
 	FactCacheHits int64
 	FactCacheSize int
-}
-
-// domainCfg resolves the effective domain configuration (NoAbsint wins).
-func (o SynthOptions) domainCfg() smt.DomainConfig {
-	cfg := o.Domains
-	if o.NoAbsint {
-		cfg.Disable = true
-	}
-	return cfg
-}
-
-// shadowSet lists the shadow configurations attached when ShadowCNF is
-// on: the simplifier fully off, plus one ablation per domain that is
-// enabled in the live configuration.
-func shadowSet(live smt.DomainConfig) []struct {
-	Name string
-	Cfg  smt.DomainConfig
-} {
-	out := []struct {
-		Name string
-		Cfg  smt.DomainConfig
-	}{{"no-absint", smt.DomainConfig{Disable: true}}}
-	if live.Disable {
-		return out
-	}
-	if !live.NoSigned {
-		c := live
-		c.NoSigned = true
-		out = append(out, struct {
-			Name string
-			Cfg  smt.DomainConfig
-		}{"no-signed", c})
-	}
-	if !live.NoCongruence {
-		c := live
-		c.NoCongruence = true
-		out = append(out, struct {
-			Name string
-			Cfg  smt.DomainConfig
-		}{"no-congruence", c})
-	}
-	if !live.NoEq {
-		c := live
-		c.NoEq = true
-		out = append(out, struct {
-			Name string
-			Cfg  smt.DomainConfig
-		}{"no-eq", c})
-	}
-	return out
 }
 
 // ErrTimeout is returned when the deadline expires mid-synthesis.
@@ -230,36 +172,31 @@ type Synthesizer struct {
 	win      *winEnc       // live window encoding (nil before the first solve)
 	sampling samplingState // enumeration state of the last solved window
 
-	// Prefix snapshot cache: snaps[c] is the register state after c
-	// cycles of the unmodified (all φ = 0) circuit. The cache extends
-	// monotonically with one persistent simulator, so widening k_past
-	// re-simulates nothing.
-	snaps   []map[string]bv.XBV
-	snapSim *sim.CycleSim
+	// prefix serves window start states: the register state after c
+	// cycles of the unmodified (all φ = 0) circuit. It is the shared
+	// portfolio cache when that covers this system, else a private one
+	// (nil until the first window).
+	prefix *PrefixCache
 
 	// Stats folded in from window solvers that were rebuilt away; the
 	// live solver's counters are added on top after every check.
 	retiredSAT    sat.Statistics
 	retiredCert   smt.CertifyStats
 	retiredAbs    smt.AbsStats
-	retiredShadow map[string]sat.Statistics
+	retiredShadow sat.Statistics
 
 	// facts caches environment-free abstract facts keyed on hash-consed
 	// term identity, so window extensions and rebuilds re-derive nothing
 	// for terms that survive from earlier windows (§cross-window caching).
 	facts *smt.FactCache
-
-	// sharedOK memoizes SharedPrefix.Covers(sys): 0 undecided, 1 the
-	// shared cache serves this synthesizer, -1 private fallback.
-	sharedOK int8
 }
 
 // NewSynthesizer builds a synthesizer. tr must have concrete inputs and
 // init must assign every uninitialized state (use Concretize).
 func NewSynthesizer(ctx *smt.Context, sys *tsys.System, vars *VarTable, tr *trace.Trace, init map[string]bv.XBV, opts SynthOptions) *Synthesizer {
 	s := &Synthesizer{ctx: ctx, sys: sys, vars: vars, tr: tr, init: init, opts: opts}
-	if cfg := opts.domainCfg(); !cfg.Disable {
-		s.facts = smt.NewFactCache(cfg)
+	if !opts.NoAbsint {
+		s.facts = smt.NewFactCache()
 	}
 	return s
 }
@@ -341,43 +278,32 @@ func (s *Synthesizer) sumTerm() *smt.Term {
 }
 
 // prefixState returns the register state the unmodified circuit (all
-// φ = 0) reaches after the first `cycles` trace rows. Snapshots are
-// cached per cycle and extended with one persistent simulator, so the
-// window search's repeated calls with shrinking `start` cost O(n) total
-// instead of O(n²). The returned map is shared with the cache and must
-// be treated as read-only.
+// φ = 0) reaches after the first `cycles` trace rows. The prefix cache
+// extends monotonically, so the window search's repeated calls with
+// shrinking `start` cost O(n) total instead of O(n²). The returned map
+// is shared with the cache and must be treated as read-only.
 func (s *Synthesizer) prefixState(cycles int) map[string]bv.XBV {
-	if s.opts.SharedPrefix != nil {
-		if s.sharedOK == 0 {
-			if s.opts.SharedPrefix.Covers(s.sys) {
-				s.sharedOK = 1
-			} else {
-				s.sharedOK = -1
-			}
-		}
-		if s.sharedOK == 1 {
-			st, simulated := s.opts.SharedPrefix.StateAt(cycles)
-			s.Stats.PrefixCycles += simulated
-			return st
+	if s.prefix == nil {
+		if sp := s.opts.SharedPrefix; sp != nil && sp.Covers(s.sys) {
+			s.prefix = sp
+		} else {
+			s.prefix = NewPrefixCache(s.sys, s.tr, s.init, s.zeroAssignment())
 		}
 	}
-	if s.snapSim == nil {
-		zero := Assignment{}
-		for _, p := range s.vars.Phis {
-			zero[p.Name] = bv.Zero(1)
-		}
-		for _, a := range s.vars.Alphas {
-			zero[a.Name] = bv.Zero(a.Width)
-		}
-		s.snapSim = s.newSim(zero)
-		s.snaps = append(s.snaps, s.snapSim.Snapshot())
+	return s.prefix.StateAt(cycles)
+}
+
+// zeroAssignment sets every synthesis variable to zero: no change
+// enabled, so the instrumented circuit behaves as the original.
+func (s *Synthesizer) zeroAssignment() Assignment {
+	a := Assignment{}
+	for _, p := range s.vars.Phis {
+		a[p.Name] = bv.Zero(1)
 	}
-	for len(s.snaps) <= cycles {
-		s.snapSim.Step(s.inputsAt(len(s.snaps) - 1))
-		s.snaps = append(s.snaps, s.snapSim.Snapshot())
-		s.Stats.PrefixCycles++
+	for _, al := range s.vars.Alphas {
+		a[al.Name] = bv.Zero(al.Width)
 	}
-	return s.snaps[cycles]
+	return a
 }
 
 // newSim builds a cycle simulator seeded with the concrete initial state
@@ -387,20 +313,8 @@ func (s *Synthesizer) newSim(a Assignment) *sim.CycleSim {
 	for name, v := range s.init {
 		cs.SetState(name, v)
 	}
-	params := map[string]bv.BV{}
-	for name, v := range a {
-		params[name] = v
-	}
-	cs.SetParams(params)
+	cs.SetParams(a)
 	return cs
-}
-
-func (s *Synthesizer) inputsAt(cycle int) map[string]bv.XBV {
-	in := map[string]bv.XBV{}
-	for i, sig := range s.tr.Inputs {
-		in[sig.Name] = s.tr.InputRows[cycle][i]
-	}
-	return in
 }
 
 // Validate runs the full trace under an assignment.
@@ -495,14 +409,13 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 	u.SetObs(sc)
 	u.SetFactCache(s.facts)
 	solver := smt.NewSolver(s.ctx)
-	solver.SetDomains(s.opts.domainCfg())
-	if s.facts != nil {
+	if s.opts.NoAbsint {
+		solver.DisableSimplify()
+	} else {
 		solver.SetFactCache(s.facts)
 	}
 	if s.opts.ShadowCNF {
-		for _, sh := range shadowSet(s.opts.domainCfg()) {
-			solver.AddShadow(sh.Name, sh.Cfg)
-		}
+		solver.AddShadow()
 	}
 	if s.opts.Certify {
 		solver.EnableCertification()
@@ -570,14 +483,7 @@ func (s *Synthesizer) retireWindowStats(solver *smt.Solver) {
 	s.retiredSAT.Add(solver.SATStats())
 	s.retiredCert.Add(solver.CertifyStats())
 	s.retiredAbs.Add(solver.AbsStats())
-	for _, sh := range solver.ShadowStats() {
-		if s.retiredShadow == nil {
-			s.retiredShadow = map[string]sat.Statistics{}
-		}
-		st := s.retiredShadow[sh.Name]
-		st.Add(sh.SAT)
-		s.retiredShadow[sh.Name] = st
-	}
+	s.retiredShadow.Add(solver.ShadowStats())
 }
 
 // check runs one solver query, mapping low-level errors to the
@@ -591,17 +497,8 @@ func (s *Synthesizer) check(solver *smt.Solver, assumptions ...*smt.Term) (sat.S
 	s.Stats.Certify.Add(solver.CertifyStats())
 	s.Stats.Abs = s.retiredAbs
 	s.Stats.Abs.Add(solver.AbsStats())
-	if shs := solver.ShadowStats(); len(shs) > 0 || len(s.retiredShadow) > 0 {
-		s.Stats.Shadow = map[string]sat.Statistics{}
-		for name, v := range s.retiredShadow {
-			s.Stats.Shadow[name] = v
-		}
-		for _, sh := range shs {
-			v := s.Stats.Shadow[sh.Name]
-			v.Add(sh.SAT)
-			s.Stats.Shadow[sh.Name] = v
-		}
-	}
+	s.Stats.ShadowSAT = s.retiredShadow
+	s.Stats.ShadowSAT.Add(solver.ShadowStats())
 	if s.facts != nil {
 		s.Stats.FactCacheHits = s.facts.Hits
 		s.Stats.FactCacheSize = s.facts.Len()

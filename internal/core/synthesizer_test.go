@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -111,26 +112,19 @@ func TestPrefixStateMatchesSimulation(t *testing.T) {
 	s, _ := buildSynth(t, buggyCounter, goodCounter, ReplaceLiterals{}, ins, outs, counterRows())
 	// The prefix state after 3 cycles must equal a manual simulation.
 	snap := s.prefixState(3)
-	cs := s.newSim(zeroAssignment(s))
+	cs := s.newSim(s.zeroAssignment())
 	for c := 0; c < 3; c++ {
-		cs.Step(s.inputsAt(c))
+		in := map[string]bv.XBV{}
+		for i, sig := range s.tr.Inputs {
+			in[sig.Name] = s.tr.InputRows[c][i]
+		}
+		cs.Step(in)
 	}
 	for name, v := range cs.Snapshot() {
 		if !snap[name].SameAs(v) {
 			t.Fatalf("prefix state mismatch on %s: %v vs %v", name, snap[name], v)
 		}
 	}
-}
-
-func zeroAssignment(s *Synthesizer) Assignment {
-	a := Assignment{}
-	for _, p := range s.vars.Phis {
-		a[p.Name] = bv.Zero(1)
-	}
-	for _, al := range s.vars.Alphas {
-		a[al.Name] = bv.Zero(al.Width)
-	}
-	return a
 }
 
 // The Σφ > 3 rule: a template producing a large repair is kept only as a
@@ -163,7 +157,7 @@ endmodule`
 		rows = append(rows, []bv.XBV{bv.KU(8, uint64(i*31))})
 	}
 	tr := recordGolden(t, golden, ins, outs, rows)
-	res := Repair(mustParse(t, buggy), tr, repairOpts())
+	res := RepairCtx(context.Background(), mustParse(t, buggy), tr, repairOpts())
 	if res.Status != StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}
@@ -178,7 +172,7 @@ func TestRepairTimeoutStatus(t *testing.T) {
 	tr := recordGolden(t, goodCounter, ins, outs, counterRows())
 	opts := repairOpts()
 	opts.Timeout = 1 * time.Nanosecond
-	res := Repair(mustParse(t, buggyCounter), tr, opts)
+	res := RepairCtx(context.Background(), mustParse(t, buggyCounter), tr, opts)
 	if res.Status != StatusTimeout && res.Status != StatusCannotRepair {
 		t.Fatalf("status = %v", res.Status)
 	}

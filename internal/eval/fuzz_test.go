@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -48,7 +49,7 @@ func TestRepairEngineOnRandomMutants(t *testing.T) {
 				continue // mutation was a no-op
 			}
 			mutants++
-			res := core.Repair(mutant, tr, core.Options{
+			res := core.RepairCtx(context.Background(), mutant, tr, core.Options{
 				Policy:  sim.Randomize,
 				Seed:    int64(trial + 1),
 				Timeout: 20 * time.Second,
@@ -93,12 +94,12 @@ func TestRepairIsIdempotent(t *testing.T) {
 		m, _ := b.BuggyModule()
 		lib, _ := b.LibModules()
 		seed := ChooseSeed(b, 1)
-		res := core.Repair(m, tr, core.Options{Policy: sim.Randomize, Seed: seed,
+		res := core.RepairCtx(context.Background(), m, tr, core.Options{Policy: sim.Randomize, Seed: seed,
 			Timeout: 45 * time.Second, Lib: lib})
 		if res.Status != core.StatusRepaired {
 			t.Fatalf("%s: status %v (%s)", name, res.Status, res.Reason)
 		}
-		again := core.Repair(res.Repaired, tr, core.Options{Policy: sim.Randomize, Seed: seed,
+		again := core.RepairCtx(context.Background(), res.Repaired, tr, core.Options{Policy: sim.Randomize, Seed: seed,
 			Timeout: 45 * time.Second, Lib: lib})
 		if again.Status != core.StatusNoRepairNeeded {
 			t.Errorf("%s: second run status %v, want no-repair-needed", name, again.Status)
@@ -151,7 +152,7 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.Repair(bm, tr, core.Options{Policy: sim.Randomize, Seed: 2, Timeout: 45 * time.Second})
+	res := core.RepairCtx(context.Background(), bm, tr, core.Options{Policy: sim.Randomize, Seed: 2, Timeout: 45 * time.Second})
 	if res.Status != core.StatusRepaired {
 		t.Fatalf("status = %v (%s)", res.Status, res.Reason)
 	}

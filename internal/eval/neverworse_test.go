@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -27,9 +28,7 @@ var quickCorpus = map[string]bool{
 // more CNF variables or clauses than with it off. The comparison uses
 // the passive no-absint shadow encoder (Options.ShadowCNF), which
 // re-blasts the identical assert stream of the very same run — so a
-// violation is an encoding regression, not scheduling noise. The
-// per-domain ablation shadows must obey the same bound: every extra
-// domain may only shrink the encoding.
+// violation is an encoding regression, not scheduling noise.
 func TestAbsintNeverWorse(t *testing.T) {
 	full := os.Getenv("RTLREPAIR_CERTIFY") != ""
 	for _, b := range bench.Registry() {
@@ -48,7 +47,7 @@ func TestAbsintNeverWorse(t *testing.T) {
 				t.Fatalf("module: %v", err)
 			}
 			lib, _ := b.LibModules()
-			res := core.Repair(m, tr, core.Options{
+			res := core.RepairCtx(context.Background(), m, tr, core.Options{
 				Policy:    sim.Randomize,
 				Seed:      ChooseSeed(b, 1),
 				Timeout:   30 * time.Second,
@@ -61,9 +60,10 @@ func TestAbsintNeverWorse(t *testing.T) {
 				vars += at.Stats.SAT.Vars
 				clauses += at.Stats.SAT.Clauses
 			}
-			if len(res.Shadow) == 0 {
+			na := res.ShadowSAT
+			if na.Vars == 0 {
 				// Designs rejected before any SMT solve (e.g. cannot-repair
-				// at elaboration) legitimately record no shadows — but then
+				// at elaboration) legitimately record no shadow — but then
 				// they must not have blasted anything live either.
 				if vars != 0 || clauses != 0 {
 					t.Fatalf("live CNF %d/%d but no shadow statistics (status %s)",
@@ -71,17 +71,14 @@ func TestAbsintNeverWorse(t *testing.T) {
 				}
 				t.Skipf("no solver ran (status %s)", res.Status)
 			}
-			for name, sh := range res.Shadow {
-				if vars > sh.Vars {
-					t.Errorf("live encoding has %d vars, %s shadow %d — absint made the CNF larger",
-						vars, name, sh.Vars)
-				}
-				if clauses > sh.Clauses {
-					t.Errorf("live encoding has %d clauses, %s shadow %d — absint made the CNF larger",
-						clauses, name, sh.Clauses)
-				}
+			if vars > na.Vars {
+				t.Errorf("live encoding has %d vars, no-absint shadow %d — absint made the CNF larger",
+					vars, na.Vars)
 			}
-			na := res.Shadow["no-absint"]
+			if clauses > na.Clauses {
+				t.Errorf("live encoding has %d clauses, no-absint shadow %d — absint made the CNF larger",
+					clauses, na.Clauses)
+			}
 			t.Logf("%s: live %d/%d vs no-absint %d/%d (%.1f%% / %.1f%% smaller)",
 				b.Name, vars, clauses, na.Vars, na.Clauses,
 				reduction(vars, na.Vars), reduction(clauses, na.Clauses))

@@ -140,7 +140,7 @@ type Options struct {
 	// MaxTraceForChecks truncates very long traces for the expensive
 	// secondary checks (gate-level, event sim); 0 = no truncation.
 	MaxTraceForChecks int
-	// Workers is the portfolio worker count handed to core.Repair
+	// Workers is the portfolio worker count handed to core.RepairCtx
 	// (0 = one per CPU, 1 = sequential).
 	Workers int
 	// Certify runs every repair in self-certifying mode (DRUP-checked
@@ -148,7 +148,7 @@ type Options struct {
 	Certify bool
 	// NoAbsint disables the abstract-interpretation term simplifier.
 	NoAbsint bool
-	// Obs is the observability scope threaded into every core.Repair
+	// Obs is the observability scope threaded into every core.RepairCtx
 	// call: one "repair" span per benchmark run, plus the shared metrics
 	// registry. The zero Scope (the default) disables it.
 	Obs obs.Scope

@@ -8,6 +8,7 @@ import (
 
 	"rtlrepair/internal/bench"
 	"rtlrepair/internal/bv"
+	"rtlrepair/internal/core"
 	"rtlrepair/internal/sim"
 	"rtlrepair/internal/smt"
 	"rtlrepair/internal/synth"
@@ -248,6 +249,9 @@ func MakeTable5(s *SuiteResults, opts Options) []Table5Row {
 		full := s.RTL[name]
 		row := Table5Row{Name: name, Preprocessing: full.Fixes}
 		for _, tr := range full.PerTemplate {
+			if tr.State == core.AttemptSkipped {
+				continue // never started: an earlier repair preempted it
+			}
 			cell := TemplateCell{Template: tr.Template, Time: tr.Duration}
 			switch {
 			case tr.Err != nil:

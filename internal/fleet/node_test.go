@@ -1,12 +1,18 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"rtlrepair/internal/bench"
+	"rtlrepair/internal/eval"
 	"rtlrepair/internal/obs"
 	"rtlrepair/internal/serve"
 )
@@ -216,5 +222,66 @@ func TestNodeSharedStoreWarmsPeer(t *testing.T) {
 	}
 	if hits := b.metrics.Counter("serve.cas.artifact.hits"); hits == 0 {
 		t.Fatal("frontend artifact was rebuilt instead of warmed from the shared store")
+	}
+}
+
+// A frontend built on one node and read from the shared store by
+// another must keep the design's own source positions: the peer's
+// change descriptions match the batch goldens line for line.
+func TestNodeSharedArtifactKeepsSourcePositions(t *testing.T) {
+	casDir := filepath.Join(t.TempDir(), "cas")
+	a := newTestNode(t, NodeConfig{Name: "a", ArtifactDir: casDir})
+	b := newTestNode(t, NodeConfig{Name: "b", ArtifactDir: casDir})
+	for _, name := range []string{"decoder_w1", "flop_w1"} {
+		bm := bench.ByName(name)
+		if len(bm.Lib) != 0 {
+			t.Fatalf("%s: library modules would shift the golden line numbers", name)
+		}
+		tr, err := bm.Trace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv bytes.Buffer
+		if err := tr.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		req := &serve.Request{Source: bm.Buggy, Trace: csv.String(),
+			Options: serve.ReqOptions{Seed: eval.ChooseSeed(bm, 1)}}
+
+		// Node a builds the frontend and publishes it. Its seed differs,
+		// so node b cannot take the result from the shared store and
+		// must repair with the artifact node a built.
+		other := *req
+		other.Options.Seed++
+		job, err := a.Submit(&other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, job)
+		hits := b.metrics.Counter("serve.cas.artifact.hits")
+		job, err = b.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitJob(t, job)
+		if b.metrics.Counter("serve.cas.artifact.hits") != hits+1 {
+			t.Fatalf("%s: node b did not take the frontend from the shared store", name)
+		}
+		if v.Cached || v.Result == nil {
+			t.Fatalf("%s: cached=%t result=%+v, want a fresh repair", name, v.Cached, v.Result)
+		}
+		golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "repair_goldens", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, _, _ := strings.Cut(string(golden), "----\n")
+		var got strings.Builder
+		fmt.Fprintf(&got, "status: %s\ntemplate: %s\nchanges: %d\n", v.Result.Status, v.Result.Template, v.Result.Changes)
+		for _, d := range v.Result.ChangeDescs {
+			fmt.Fprintf(&got, "change: %s\n", d)
+		}
+		if got.String() != head {
+			t.Errorf("%s: verdict from the shared artifact:\n%s\nwant (golden):\n%s", name, got.String(), head)
+		}
 	}
 }

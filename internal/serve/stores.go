@@ -162,17 +162,18 @@ func (s *sharedResults) PutResult(key string, rr *RepairResult) {
 }
 
 // artifactDoc is the serialized form of a frontend artifact in the
-// shared blob store. The module source is the *preprocessed* design
-// (printed), so a warm node skips the lint transform; the fix list and
-// failure reason are carried verbatim because they are inputs to the
-// repair verdict, and the analysis report plus elaboration are
+// shared blob store: the fix list and failure reason, carried verbatim
+// because they are inputs to the repair verdict. The preprocessed
+// module is not stored. A warm node rebuilds it from the requester's
+// own parsed module, which has the artifact's content hash, so the
+// rebuilt module keeps the design's source positions (a reparsed
+// printout would not). The analysis report and elaboration are
 // recomputed on rehydration — both are pure functions of the
-// preprocessed module, so a warm frontend is byte-for-byte equivalent
-// to a cold one (pinned by TestSharedArtifactWarmEqualsCold).
+// preprocessed module — so a warm frontend is equivalent to a cold one
+// (pinned by TestSharedArtifactWarmEqualsCold).
 type artifactDoc struct {
 	Version int      `json:"version"`
 	Reason  string   `json:"reason,omitempty"`
-	Fixed   string   `json:"fixed,omitempty"`
 	Fixes   []docFix `json:"fixes,omitempty"`
 }
 
@@ -184,16 +185,16 @@ type docFix struct {
 	Desc   string `json:"desc"`
 }
 
-const artifactDocVersion = 1
+// artifactDocVersion 2 dropped the printed module of version 1, so a
+// node of either version rejects the other's docs instead of
+// rehydrating without a module.
+const artifactDocVersion = 2
 
 // encodeArtifact renders the shareable half of an artifact. The
 // elaborated system itself is a process-local term DAG and never
 // crosses the wire.
 func encodeArtifact(a *Artifact) ([]byte, error) {
 	doc := artifactDoc{Version: artifactDocVersion, Reason: a.FE.Reason}
-	if a.FE.Fixed != nil {
-		doc.Fixed = verilog.Print(a.FE.Fixed)
-	}
 	for _, f := range a.FE.Fixes {
 		doc.Fixes = append(doc.Fixes, docFix{
 			Kind: int(f.Kind), Line: f.Pos.Line, Col: f.Pos.Col,
@@ -204,8 +205,8 @@ func encodeArtifact(a *Artifact) ([]byte, error) {
 }
 
 // decodeArtifact rebuilds a frontend from a shared artifact doc plus
-// the requester's own parsed request (which supplies the library and
-// trace — preprocessing never rewrites library modules).
+// the requester's own parsed request, which supplies the module, the
+// library and the trace (preprocessing never rewrites library modules).
 func decodeArtifact(blob []byte, parsed *parsedRequest) (*Artifact, error) {
 	var doc artifactDoc
 	if err := json.Unmarshal(blob, &doc); err != nil {
@@ -221,13 +222,13 @@ func decodeArtifact(blob []byte, parsed *parsedRequest) (*Artifact, error) {
 			Signal: f.Signal, Desc: f.Desc,
 		})
 	}
-	var fixed *verilog.Module
-	if doc.Fixed != "" {
-		mods, err := verilog.Parse(doc.Fixed)
-		if err != nil || len(mods) != 1 {
-			return nil, fmt.Errorf("artifact doc source: %v", err)
-		}
-		fixed = mods[0]
+	// Preprocessing that changed nothing leaves the module as parsed;
+	// otherwise redo its rewrites on the requester's module. Its error
+	// is already the doc's reason, and a failed frontend keeps the
+	// partly fixed module, as on the cold path.
+	fixed := parsed.top
+	if !parsed.req.Options.NoPreprocess && (len(fixes) > 0 || doc.Reason != "") {
+		fixed, _, _ = lint.Preprocess(parsed.top, parsed.lib)
 	}
 	fe := core.RehydrateFrontend(fixed, parsed.lib, fixes, doc.Reason)
 	return &Artifact{parsed: parsed, FE: fe}, nil
@@ -235,9 +236,9 @@ func decodeArtifact(blob []byte, parsed *parsedRequest) (*Artifact, error) {
 
 // sharedArtifacts layers the blob store under the in-memory artifact
 // tier. Because a Frontend is a process-local object graph, the CAS
-// holds its serializable inputs (preprocessed source, fixes, reason)
-// and a warm get re-elaborates locally — skipping the lint transform
-// and, more importantly, surviving restarts and crossing nodes.
+// holds its serializable inputs (fixes, reason) and a warm get
+// re-elaborates locally — skipping the lint transform when it changed
+// nothing and, more importantly, surviving restarts and crossing nodes.
 type sharedArtifacts struct {
 	mem     ArtifactStore
 	blobs   BlobStore

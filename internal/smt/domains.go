@@ -9,99 +9,34 @@ import (
 
 // This file defines the abstract value lattice used by the
 // abstract-interpretation framework (see absint.go): a reduced product
-// of four numeric domains over one bit-vector width, plus the
-// configuration knob that enables/disables individual members of the
-// product for A/B measurement.
+// of two numeric domains over one bit-vector width.
 //
 //   - known bits: a mask of bit positions whose value is the same in
 //     every model of the asserted constraints, plus those values;
-//   - unsigned intervals: an inclusive [Lo, Hi] unsigned range;
-//   - signed intervals: an inclusive [SLo, SHi] two's-complement range;
-//   - congruence: x ≡ CR (mod 2^CK), i.e. the low CK bits of x equal CR
-//     (strided counters, aligned addresses).
-//
-// A fifth, relational domain — equality/congruence closure over terms —
-// lives in eqdom.go and is carried by Abs rather than by Fact, since it
-// relates terms to each other instead of describing one term.
+//   - unsigned intervals: an inclusive [Lo, Hi] unsigned range.
 //
 // normalize() is the reduction operator of the product: after every
-// transfer each domain tightens the others (congruence ⇔ low known
-// bits, interval prefixes ⇒ known bits, sign bit ⇔ signed bounds,
-// same-sign ranges transfer between the signed and unsigned views).
+// transfer the known bits bound the interval (unknowns all-zero /
+// all-one) and the interval's common high prefix becomes known bits.
 
-// DomainConfig selects which members of the product run. The zero value
-// enables everything; the No* knobs exist for per-domain A/B
-// measurement (cmd/benchrepair) and shadow encodings (solver.go).
-type DomainConfig struct {
-	// Disable turns the simplifier off entirely (equivalent to the old
-	// Solver.DisableSimplify): no facts, no rewrites.
-	Disable bool
-	// NoSigned disables the signed-interval domain.
-	NoSigned bool
-	// NoCongruence disables the congruence domain.
-	NoCongruence bool
-	// NoEq disables the equality-closure domain.
-	NoEq bool
-}
-
-// String names the configuration for stats/report keys.
-func (c DomainConfig) String() string {
-	if c.Disable {
-		return "no-absint"
-	}
-	var off []string
-	if c.NoSigned {
-		off = append(off, "no-signed")
-	}
-	if c.NoCongruence {
-		off = append(off, "no-congruence")
-	}
-	if c.NoEq {
-		off = append(off, "no-eq")
-	}
-	if len(off) == 0 {
-		return "full"
-	}
-	return strings.Join(off, "+")
-}
-
-// Fact is the abstract value of a term: the product of the four
-// non-relational domains. The zero Fact is invalid; use
+// Fact is the abstract value of a term: the product of the known-bits
+// and unsigned-interval domains. The zero Fact is invalid; use
 // topFact/constFact.
 type Fact struct {
 	Known bv.BV // mask of known bit positions
 	Val   bv.BV // bit values on Known positions (zero elsewhere)
 	Lo    bv.BV // inclusive unsigned lower bound
 	Hi    bv.BV // inclusive unsigned upper bound
-	SLo   bv.BV // inclusive signed lower bound (two's complement)
-	SHi   bv.BV // inclusive signed upper bound
-	CK    int   // congruence modulus log2: x ≡ CR (mod 2^CK); 0 = trivial
-	CR    bv.BV // congruence residue (bits ≥ CK are zero)
 }
-
-// sMinBV / sMaxBV are the extreme signed values at width w.
-func sMinBV(w int) bv.BV { return bv.Zero(w).WithBit(w-1, true) }
-func sMaxBV(w int) bv.BV { return bv.Ones(w).WithBit(w-1, false) }
 
 // topFact is the no-information element of the lattice.
 func topFact(w int) Fact {
-	return Fact{
-		Known: bv.Zero(w), Val: bv.Zero(w),
-		Lo: bv.Zero(w), Hi: bv.Ones(w),
-		SLo: sMinBV(w), SHi: sMaxBV(w),
-		CK: 0, CR: bv.Zero(w),
-	}
+	return Fact{Known: bv.Zero(w), Val: bv.Zero(w), Lo: bv.Zero(w), Hi: bv.Ones(w)}
 }
 
 // constFact is the singleton element for value v.
 func constFact(v bv.BV) Fact {
-	w := v.Width()
-	return Fact{
-		Known: bv.Ones(w), Val: v,
-		Lo: v, Hi: v,
-		SLo: v, SHi: v,
-		CK: w, CR: v,
-	}
+	return Fact{Known: bv.Ones(v.Width()), Val: v, Lo: v, Hi: v}
 }
 
 func boolFact(b bool) Fact { return constFact(bv.FromBool(b)) }
@@ -125,24 +60,10 @@ func (f Fact) Width() int { return f.Known.Width() }
 func (f Fact) IsConst() bool { return f.Known.IsOnes() }
 
 // Admits reports whether the concrete value v is allowed by the fact —
-// the soundness predicate the fuzzer checks, covering every member of
+// the soundness predicate the fuzzer checks, covering both members of
 // the product.
 func (f Fact) Admits(v bv.BV) bool {
-	if !v.And(f.Known).Eq(f.Val) {
-		return false
-	}
-	if v.Ult(f.Lo) || f.Hi.Ult(v) {
-		return false
-	}
-	if v.Slt(f.SLo) || f.SHi.Slt(v) {
-		return false
-	}
-	if f.CK > 0 {
-		if !v.And(lowMask(f.Width(), f.CK)).Eq(f.CR) {
-			return false
-		}
-	}
-	return true
+	return v.And(f.Known).Eq(f.Val) && !v.Ult(f.Lo) && !f.Hi.Ult(v)
 }
 
 // String renders the fact for diagnostics (rtllint -explain).
@@ -154,15 +75,8 @@ func (f Fact) String() string {
 	if !f.Known.IsZero() {
 		parts = append(parts, fmt.Sprintf("bits(mask 0x%s = 0x%s)", f.Known.HexString(), f.Val.HexString()))
 	}
-	w := f.Width()
 	if !f.Lo.IsZero() || !f.Hi.IsOnes() {
 		parts = append(parts, fmt.Sprintf("u∈[0x%s, 0x%s]", f.Lo.HexString(), f.Hi.HexString()))
-	}
-	if !f.SLo.Eq(sMinBV(w)) || !f.SHi.Eq(sMaxBV(w)) {
-		parts = append(parts, fmt.Sprintf("s∈[0x%s, 0x%s]", f.SLo.HexString(), f.SHi.HexString()))
-	}
-	if f.CK > 0 {
-		parts = append(parts, fmt.Sprintf("≡ 0x%s (mod 2^%d)", f.CR.HexString(), f.CK))
 	}
 	if len(parts) == 0 {
 		return "⊤"
@@ -173,17 +87,12 @@ func (f Fact) String() string {
 // sameAs reports channel-wise equality of two facts (BV holds a word
 // slice, so == is unavailable).
 func (f Fact) sameAs(o Fact) bool {
-	return f.Known.Eq(o.Known) && f.Val.Eq(o.Val) &&
-		f.Lo.Eq(o.Lo) && f.Hi.Eq(o.Hi) &&
-		f.SLo.Eq(o.SLo) && f.SHi.Eq(o.SHi) &&
-		f.CK == o.CK && f.CR.Eq(o.CR)
+	return f.Known.Eq(o.Known) && f.Val.Eq(o.Val) && f.Lo.Eq(o.Lo) && f.Hi.Eq(o.Hi)
 }
 
 // IsTop reports whether the fact carries no information.
 func (f Fact) IsTop() bool {
-	w := f.Width()
-	return f.Known.IsZero() && f.Lo.IsZero() && f.Hi.IsOnes() &&
-		f.SLo.Eq(sMinBV(w)) && f.SHi.Eq(sMaxBV(w)) && f.CK == 0
+	return f.Known.IsZero() && f.Lo.IsZero() && f.Hi.IsOnes()
 }
 
 func umin(a, b bv.BV) bv.BV {
@@ -200,57 +109,12 @@ func umax(a, b bv.BV) bv.BV {
 	return a
 }
 
-func smin(a, b bv.BV) bv.BV {
-	if b.Slt(a) {
-		return b
-	}
-	return a
-}
-
-func smax(a, b bv.BV) bv.BV {
-	if a.Slt(b) {
-		return b
-	}
-	return a
-}
-
-// lowMask returns a width-w mask of the low k bits.
-func lowMask(w, k int) bv.BV {
-	if k >= w {
-		return bv.Ones(w)
-	}
-	return bv.Ones(w).Lshr(w - k)
-}
-
-// lowRun counts the contiguous run of known bits starting at bit 0.
-func lowRun(known bv.BV) int {
-	for i := 0; i < known.Width(); i++ {
-		if !known.Bit(i) {
-			return i
-		}
-	}
-	return known.Width()
-}
-
-// restrict blanks the channels of disabled domains back to top, so a
-// disabled domain contributes nothing anywhere (A/B knob semantics).
-func (f Fact) restrict(cfg DomainConfig) Fact {
-	w := f.Width()
-	if cfg.NoSigned {
-		f.SLo, f.SHi = sMinBV(w), sMaxBV(w)
-	}
-	if cfg.NoCongruence {
-		f.CK, f.CR = 0, bv.Zero(w)
-	}
-	return f
-}
-
 // normalize is the reduction operator of the product: it cross-tightens
-// every pair of domains and repairs empty channels. An empty
-// intersection can only arise when the asserted constraints themselves
-// are unsatisfiable (each domain alone is a sound over-approximation);
-// any abstract value is then vacuously sound, so we collapse to keep
-// the invariants Lo ≤ Hi, SLo ≤s SHi, CR < 2^CK.
+// the two domains and repairs an empty interval. An empty intersection
+// can only arise when the asserted constraints themselves are
+// unsatisfiable (each domain alone is a sound over-approximation); any
+// abstract value is then vacuously sound, so we collapse to keep the
+// invariant Lo ≤ Hi.
 func (f Fact) normalize() Fact {
 	w := f.Width()
 	// Channels left unset in a partial literal (width-0 zero values)
@@ -261,35 +125,7 @@ func (f Fact) normalize() Fact {
 	if f.Hi.Width() != w {
 		f.Hi = bv.Ones(w)
 	}
-	if f.SLo.Width() != w {
-		f.SLo = sMinBV(w)
-	}
-	if f.SHi.Width() != w {
-		f.SHi = sMaxBV(w)
-	}
-	if f.CR.Width() != w {
-		f.CR = bv.Zero(w)
-	}
 	f.Val = f.Val.And(f.Known)
-	if f.CK > w {
-		f.CK = w
-	}
-	// Congruence → known bits: the low CK bits are pinned to CR. On a
-	// conflict with an already-known bit (unsat constraints) the known
-	// bit wins, keeping the result deterministic.
-	if f.CK > 0 {
-		mask := lowMask(w, f.CK)
-		f.CR = f.CR.And(mask)
-		fresh := mask.And(f.Known.Not())
-		f.Known = f.Known.Or(mask)
-		f.Val = f.Val.Or(f.CR.And(fresh))
-	}
-	// Known bits → congruence: a contiguous known low run is exactly a
-	// mod-2^k residue.
-	if k := lowRun(f.Known); k > f.CK {
-		f.CK = k
-		f.CR = f.Val.And(lowMask(w, k))
-	}
 	// Known bits ⇔ unsigned interval: unknowns all-zero / all-one bound
 	// the range; the common high prefix of Lo and Hi is fixed.
 	f.Lo = umax(f.Lo, f.Val)
@@ -308,49 +144,6 @@ func (f Fact) normalize() Fact {
 	}
 	f.Known = f.Known.Or(prefix)
 	f.Val = f.Val.Or(f.Lo.And(prefix))
-	// Sign bit ⇔ signed interval.
-	if f.Known.Bit(w - 1) {
-		if f.Val.Bit(w - 1) { // known negative: [sMin, -1]
-			f.SHi = smin(f.SHi, bv.Ones(w))
-		} else { // known non-negative: [0, sMax]
-			f.SLo = smax(f.SLo, bv.Zero(w))
-		}
-	}
-	if f.SHi.Slt(f.SLo) {
-		f.SHi = f.SLo
-	}
-	if f.SLo.Bit(w-1) == f.SHi.Bit(w-1) {
-		// The signed range does not straddle zero, so as a *set* it is
-		// also an unsigned range (two's-complement order and unsigned
-		// order agree within one sign half).
-		f.Lo = umax(f.Lo, f.SLo)
-		f.Hi = umin(f.Hi, f.SHi)
-		if f.Hi.Ult(f.Lo) {
-			f.Hi = f.Lo
-		}
-	}
-	if f.Lo.Bit(w-1) == f.Hi.Bit(w-1) {
-		// Same argument in the other direction.
-		f.SLo = smax(f.SLo, f.Lo)
-		f.SHi = smin(f.SHi, f.Hi)
-		if f.SHi.Slt(f.SLo) {
-			f.SHi = f.SLo
-		}
-	}
-	// Known bits → signed interval: extremal completions of the unknown
-	// bits (sign bit set / clear first, then the rest).
-	unknown := f.Known.Not()
-	signBit := bv.Zero(w).WithBit(w-1, true)
-	sloK := f.Val.Or(unknown.And(signBit))       // sign 1, rest 0
-	shiK := f.Val.Or(unknown.And(signBit.Not())) // sign 0, rest 1
-	f.SLo = smax(f.SLo, sloK)
-	f.SHi = smin(f.SHi, shiK)
-	if f.SHi.Slt(f.SLo) {
-		f.SHi = f.SLo
-	}
-	if f.SLo.Eq(f.SHi) && !f.IsConst() {
-		return constFact(f.SLo)
-	}
 	return f
 }
 
@@ -371,11 +164,6 @@ func (f Fact) intersect(o Fact) Fact {
 	f.Known = f.Known.Or(o.Known)
 	f.Lo = umax(f.Lo, o.Lo)
 	f.Hi = umin(f.Hi, o.Hi)
-	f.SLo = smax(f.SLo, o.SLo)
-	f.SHi = smin(f.SHi, o.SHi)
-	if o.CK > f.CK {
-		f.CK, f.CR = o.CK, o.CR
-	}
 	return f.normalize()
 }
 
@@ -383,51 +171,28 @@ func (f Fact) intersect(o Fact) Fact {
 // fact admits. Used by abstract reachability over the transition system
 // (tsys.AbstractReach), where state facts from successive cycles merge.
 func (f Fact) Join(o Fact) Fact {
-	w := f.Width()
-	agree := f.Val.Xor(o.Val).Not()
-	known := f.Known.And(o.Known).And(agree)
-	ck := f.CK
-	if o.CK < ck {
-		ck = o.CK
-	}
-	for ck > 0 {
-		m := lowMask(w, ck)
-		if f.CR.And(m).Eq(o.CR.And(m)) {
-			break
-		}
-		ck--
-	}
+	known := f.Known.And(o.Known).And(f.Val.Xor(o.Val).Not())
 	g := Fact{
 		Known: known,
 		Val:   f.Val.And(known),
 		Lo:    umin(f.Lo, o.Lo),
 		Hi:    umax(f.Hi, o.Hi),
-		SLo:   smin(f.SLo, o.SLo),
-		SHi:   smax(f.SHi, o.SHi),
-		CK:    ck,
-		CR:    f.CR.And(lowMask(w, ck)),
 	}
 	return g.normalize()
 }
 
-// Widen extrapolates the channels of f that moved since prev to their
-// extremes. The interval domains have chains of length 2^w, so the
+// Widen extrapolates the interval bounds of f that moved since prev to
+// their extremes. The interval domain has chains of length 2^w, so the
 // reachability fixpoint applies Widen after a few iterations to force
-// termination; known bits and congruence have chains of length ≤ w and
-// need no widening.
+// termination; known bits have chains of length ≤ w and need no
+// widening.
 func (f Fact) Widen(prev Fact) Fact {
 	w := f.Width()
-	if prev.Lo.Ult(f.Lo) || f.Lo.Ult(prev.Lo) {
+	if !f.Lo.Eq(prev.Lo) {
 		f.Lo = bv.Zero(w)
 	}
-	if f.Hi.Ult(prev.Hi) || prev.Hi.Ult(f.Hi) {
+	if !f.Hi.Eq(prev.Hi) {
 		f.Hi = bv.Ones(w)
-	}
-	if !f.SLo.Eq(prev.SLo) {
-		f.SLo = sMinBV(w)
-	}
-	if !f.SHi.Eq(prev.SHi) {
-		f.SHi = sMaxBV(w)
 	}
 	return f.normalize()
 }
@@ -450,65 +215,4 @@ func addKnown(a, b Fact, carryIn bool) (known, val bv.BV) {
 		val = val.WithBit(i, s)
 	}
 	return known, val
-}
-
-// congAdd combines two congruences additively: (x+y) ≡ rx+ry mod 2^k
-// with k = min(kx, ky). sub negates the second residue.
-func congAdd(w int, kx int, rx bv.BV, ky int, ry bv.BV, sub bool) (int, bv.BV) {
-	k := kx
-	if ky < k {
-		k = ky
-	}
-	if k == 0 {
-		return 0, bv.Zero(w)
-	}
-	if sub {
-		ry = ry.Neg()
-	}
-	return k, rx.Add(ry).And(lowMask(w, k))
-}
-
-// congMul combines two congruences multiplicatively. With x ≡ rx mod
-// 2^kx and y ≡ ry mod 2^ky, the product is determined mod
-// 2^min(kx + tz(ry), ky + tz(rx), kx + ky): the unknown high parts of
-// each operand enter the product scaled by the other operand's known
-// trailing zeros.
-func congMul(w int, kx int, rx bv.BV, ky int, ry bv.BV) (int, bv.BV) {
-	if kx == 0 || ky == 0 {
-		return 0, bv.Zero(w)
-	}
-	tz := func(k int, r bv.BV) int {
-		for i := 0; i < k; i++ {
-			if r.Bit(i) {
-				return i
-			}
-		}
-		return k
-	}
-	k := kx + tz(ky, ry)
-	if alt := ky + tz(kx, rx); alt < k {
-		k = alt
-	}
-	if alt := kx + ky; alt < k {
-		k = alt
-	}
-	if k > w {
-		k = w
-	}
-	return k, rx.Mul(ry).And(lowMask(w, k))
-}
-
-// sAddBounds computes the signed-interval sum [xl+yl, xh+yh] when
-// neither endpoint sum overflows the signed range (checked in w+1-bit
-// arithmetic); ok is false when it might wrap.
-func sAddBounds(xl, xh, yl, yh bv.BV) (lo, hi bv.BV, ok bool) {
-	w := xl.Width()
-	fits := func(a, b bv.BV) (bv.BV, bool) {
-		s := a.SignExt(w + 1).Add(b.SignExt(w + 1))
-		t := s.Extract(w-1, 0)
-		return t, t.SignExt(w + 1).Eq(s)
-	}
-	lo, ok1 := fits(xl, yl)
-	hi, ok2 := fits(xh, yh)
-	return lo, hi, ok1 && ok2
 }

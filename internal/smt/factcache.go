@@ -4,7 +4,7 @@ package smt
 // solvers of one synthesizer. Terms are hash-consed, so a *Term is a
 // stable identity for one structural term within a context's lifetime
 // (including copy-on-write Clone layers), and the base fact of a term —
-// the product-domain value derivable from its structure alone, with no
+// the abstract value derivable from its structure alone, with no
 // asserted constraints — is a pure function of that identity. Window
 // rebuilds (k_past moves) throw the solver away but keep the context,
 // so every base fact derived in an earlier window is still valid in the
@@ -19,7 +19,6 @@ package smt
 // A FactCache is confined to one synthesizer's sequential solver
 // lineage and is not safe for concurrent use.
 type FactCache struct {
-	cfg  DomainConfig
 	base map[*Term]Fact
 
 	// Hits/Misses count base-fact lookups served from / added to the
@@ -27,16 +26,10 @@ type FactCache struct {
 	Hits, Misses, Warmed int64
 }
 
-// NewFactCache returns an empty cache for the given domain
-// configuration. Facts are config-dependent (a disabled domain's
-// channel stays top), so a cache must only be attached to solvers
-// running the same configuration.
-func NewFactCache(cfg DomainConfig) *FactCache {
-	return &FactCache{cfg: cfg, base: map[*Term]Fact{}}
+// NewFactCache returns an empty cache.
+func NewFactCache() *FactCache {
+	return &FactCache{base: map[*Term]Fact{}}
 }
-
-// Config returns the domain configuration the cache was built for.
-func (fc *FactCache) Config() DomainConfig { return fc.cfg }
 
 // Len reports the number of cached base facts.
 func (fc *FactCache) Len() int {
@@ -72,6 +65,6 @@ func (fc *FactCache) Warm(t *Term) {
 		return
 	}
 	fc.Warmed++
-	scratch := &Abs{cfg: fc.cfg, cache: fc}
+	scratch := &Abs{cache: fc}
 	scratch.baseFact(t)
 }

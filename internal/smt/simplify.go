@@ -6,10 +6,9 @@ import (
 
 // Simplify rewrites t under the analysis state: fully-determined terms
 // collapse to constants, muxes with a decided condition drop the dead
-// branch, shifts by a determined amount reduce to wiring, and terms
-// asserted equal to a constant or variable substitute their
-// representative. The result is equivalent to t in every model of the
-// constraints the state was seeded from.
+// branch, and shifts by a determined amount reduce to wiring. The
+// result is equivalent to t in every model of the constraints the state
+// was seeded from.
 //
 // Every top-level Simplify call passes the never-worse guard: the
 // result's estimated CNF cost — an exact walk over the term DAG,
@@ -62,11 +61,6 @@ func (c *Context) simplify1(t *Term, a *Abs) *Term {
 	}
 	if f := a.Fact(t); f.IsConst() {
 		return c.Const(f.Val)
-	}
-	if rep := a.EqRep(t); rep != nil {
-		// The representative is a constant or variable: zero marginal
-		// CNF cost, so the guard passes trivially.
-		return c.Simplify(rep, a)
 	}
 	if t.Op == OpVar {
 		return t
