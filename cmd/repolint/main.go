@@ -8,20 +8,15 @@
 //
 // Checks:
 //
-//   - obs-span-leak: every observability span opened with
-//     Tracer.Start/StartKeyed or Scope.Start/StartKeyed and bound to a
-//     local variable must have a matching <var>.End() call (directly,
-//     deferred, or inside a function literal) in the same function. A
-//     span without End never flushes and skews every ancestor's
-//     self-time. Spans stored into struct fields are exempt — their
-//     lifecycle crosses function boundaries by design.
-//
-//   - rec-begin-leak: every flight-recorder span opened with
-//     Recorder.BeginSpan and bound to a local variable must have a
-//     matching <var>.End(...) in the same function, and every solver
-//     cell from RegisterSolver a matching <var>.Close(). An unpaired
-//     begin leaves a permanently-open entry in the live tables that
-//     /debugz/spans and the stall watchdog then misreport.
+//   - span-leak: every span opened with Scope.Start/StartKeyed or
+//     Tracer.Start and bound to a local variable must have a matching
+//     <var>.End() call (directly, deferred, or inside a function
+//     literal) in the same function, and every solver cell from
+//     Recorder.RegisterSolver a matching <var>.Close(). An unended span
+//     never reaches the ring or the trace and stays in the live table
+//     that /debugz/spans serves; an unclosed cell reads as a stalled
+//     solver to the watchdog. Openers stored into struct fields are
+//     exempt — their lifecycle crosses function boundaries by design.
 //
 //   - frozen-ctx-write: inside internal/smt, the hash-cons state of
 //     smt.Context (table, vars, nextID, frozen) may only be written by
@@ -109,85 +104,23 @@ func main() {
 func lintFile(fset *token.FileSet, path string, f *ast.File) []string {
 	var out []string
 	out = append(out, checkSpanLeaks(fset, f)...)
-	out = append(out, checkRecorderLeaks(fset, f)...)
 	if strings.Contains(filepath.ToSlash(path), "internal/smt/") && !strings.HasSuffix(path, "_test.go") {
 		out = append(out, checkFrozenCtxWrites(fset, f)...)
 	}
 	return out
 }
 
-// checkSpanLeaks enforces Start/End pairing per function.
-func checkSpanLeaks(fset *token.FileSet, f *ast.File) []string {
-	var out []string
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		type opened struct {
-			name string
-			pos  token.Pos
-		}
-		var spans []opened
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 1 {
-				return true
-			}
-			id, ok := as.Lhs[0].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				return true // field/index targets cross function boundaries
-			}
-			call, ok := as.Rhs[0].(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Start" && sel.Sel.Name != "StartKeyed") {
-				return true
-			}
-			spans = append(spans, opened{id.Name, as.Pos()})
-			return true
-		})
-		if len(spans) == 0 {
-			continue
-		}
-		ended := map[string]bool{}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 0 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "End" {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				ended[id.Name] = true
-			}
-			return true
-		})
-		for _, sp := range spans {
-			if !ended[sp.name] {
-				out = append(out, fmt.Sprintf("%s: obs-span-leak: span %q opened here has no %s.End() in this function",
-					fset.Position(sp.pos), sp.name, sp.name))
-			}
-		}
-	}
-	return out
-}
-
-// recorderOpeners maps the recorder's open-resource constructors to the
-// method that must release them in the same function.
-var recorderOpeners = map[string]string{
-	"BeginSpan":      "End",
+// leakOpeners maps each open-resource constructor to the method that
+// must release it in the same function.
+var leakOpeners = map[string]string{
+	"Start":          "End",
+	"StartKeyed":     "End",
 	"RegisterSolver": "Close",
 }
 
-// checkRecorderLeaks enforces BeginSpan/End and RegisterSolver/Close
-// pairing per function. Unlike obs-span-leak, the closing call may take
-// arguments (Handle.End accepts trailing attrs).
-func checkRecorderLeaks(fset *token.FileSet, f *ast.File) []string {
+// checkSpanLeaks enforces opener/closer pairing per function. A
+// zero-argument Start (exec.Cmd, timers) is not a span opener.
+func checkSpanLeaks(fset *token.FileSet, f *ast.File) []string {
 	var out []string
 	for _, decl := range f.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -210,14 +143,14 @@ func checkRecorderLeaks(fset *token.FileSet, f *ast.File) []string {
 				return true // field/index targets cross function boundaries
 			}
 			call, ok := as.Rhs[0].(*ast.CallExpr)
-			if !ok {
+			if !ok || len(call.Args) == 0 {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			if closer, ok := recorderOpeners[sel.Sel.Name]; ok {
+			if closer, ok := leakOpeners[sel.Sel.Name]; ok {
 				open = append(open, opened{id.Name, closer, as.Pos()})
 			}
 			return true
@@ -231,18 +164,16 @@ func checkRecorderLeaks(fset *token.FileSet, f *ast.File) []string {
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "End" && sel.Sel.Name != "Close") {
-				return true
-			}
-			if id, ok := sel.X.(*ast.Ident); ok {
-				closed[id.Name+"."+sel.Sel.Name] = true
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if id, ok := sel.X.(*ast.Ident); ok {
+					closed[id.Name+"."+sel.Sel.Name] = true
+				}
 			}
 			return true
 		})
 		for _, o := range open {
 			if !closed[o.name+"."+o.closer] {
-				out = append(out, fmt.Sprintf("%s: rec-begin-leak: %q opened here has no %s.%s(...) in this function",
+				out = append(out, fmt.Sprintf("%s: span-leak: %q opened here has no %s.%s() in this function",
 					fset.Position(o.pos), o.name, o.name, o.closer))
 			}
 		}

@@ -20,30 +20,39 @@ func lintSrc(t *testing.T, path, src string) []string {
 func TestSpanLeakDetected(t *testing.T) {
 	got := lintSrc(t, "a/b.go", `
 package x
-func leaky(sc Scope) {
-	span := sc.Tracer.Start(sc.Span, "work")
-	span.SetInt("n", 1)
+func leaky(sc Scope, tr *obs.Tracer) {
+	span := sc.Start("work")
+	span.Span.SetInt("n", 1)
+	root := tr.Start(nil, "root")
+	root.SetInt("n", 1)
 }`)
-	if len(got) != 1 || !strings.Contains(got[0], "obs-span-leak") {
-		t.Fatalf("got %v, want one obs-span-leak finding", got)
+	if len(got) != 2 {
+		t.Fatalf("got %v, want span-leak for span and root", got)
+	}
+	for _, g := range got {
+		if !strings.Contains(g, "span-leak") {
+			t.Fatalf("unexpected finding %q", g)
+		}
 	}
 }
 
 func TestSpanPairedVariants(t *testing.T) {
 	got := lintSrc(t, "a/b.go", `
 package x
-func ok(sc Scope) {
-	a := sc.Tracer.Start(sc.Span, "direct")
+func ok(sc Scope, tr *obs.Tracer) {
+	a := sc.Start("direct")
 	a.End()
-	b := sc.Tracer.Start(sc.Span, "deferred")
+	b := sc.Start("deferred")
 	defer b.End()
 	c := sc.Start("scoped")
 	defer func() { c.End() }()
-	if d := sc.Tracer.Start(sc.Span, "cond"); d != nil {
+	if d := sc.Start("cond"); d.Span != nil {
 		defer d.End()
 	}
-	e := sc.Tracer.StartKeyed(sc.Span, "keyed", "k")
+	e := sc.StartKeyed("keyed", "k")
 	e.End()
+	f := tr.Start(nil, "root")
+	f.End()
 }`)
 	if len(got) != 0 {
 		t.Fatalf("false positives: %v", got)
@@ -120,17 +129,19 @@ func (c *Context) Freeze() {
 func TestRecorderLeakDetected(t *testing.T) {
 	got := lintSrc(t, "a/b.go", `
 package x
-func leaky(r *obs.Recorder) {
-	h := r.BeginSpan(obs.Handle{}, "work", "scope", 0)
+func leaky(sc obs.Scope, r *obs.Recorder) {
+	h := sc.StartKeyed("work", "k")
 	_ = h
 	cell := r.RegisterSolver("label", 0)
 	cell.Beat(1, 2, 3, 4)
+	other := r.RegisterSolver("label", 1)
+	other.End() // a cell closes with Close, not End
 }`)
-	if len(got) != 2 {
-		t.Fatalf("got %v, want rec-begin-leak for h and cell", got)
+	if len(got) != 3 {
+		t.Fatalf("got %v, want span-leak for h, cell and other", got)
 	}
 	for _, g := range got {
-		if !strings.Contains(g, "rec-begin-leak") {
+		if !strings.Contains(g, "span-leak") {
 			t.Fatalf("unexpected finding %q", g)
 		}
 	}
@@ -139,11 +150,11 @@ func leaky(r *obs.Recorder) {
 func TestRecorderPairedVariants(t *testing.T) {
 	got := lintSrc(t, "a/b.go", `
 package x
-func ok(r *obs.Recorder) {
-	h := r.BeginSpan(obs.Handle{}, "direct", "s", 0)
+func ok(sc obs.Scope, r *obs.Recorder) {
+	h := sc.Start("direct")
 	h.End()
-	g := r.BeginSpan(h, "attrs", "s", 0)
-	defer g.End(obs.Int("n", 1))
+	g := h.StartKeyed("attrs", "k")
+	defer g.End()
 	cell := r.RegisterSolver("label", 0)
 	defer func() { cell.Close() }()
 }`)
@@ -155,10 +166,11 @@ func ok(r *obs.Recorder) {
 func TestRecorderFieldTargetExempt(t *testing.T) {
 	got := lintSrc(t, "a/b.go", `
 package x
-func stash(sc *Scope, r *obs.Recorder) {
-	sc.Rh = r.BeginSpan(sc.Rh, "span", "s", 0)
+func stash(p *P, tr *obs.Tracer, r *obs.Recorder) {
+	p.span = tr.Start(nil, "span")
+	p.cell = r.RegisterSolver("label", 0)
 }`)
 	if len(got) != 0 {
-		t.Fatalf("field-stored handle flagged: %v", got)
+		t.Fatalf("field-stored span or cell flagged: %v", got)
 	}
 }

@@ -122,10 +122,8 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		workers = len(p.attempts)
 	}
 	p.obs = sc.Start("portfolio")
-	if sp := p.obs.Span; sp != nil {
-		sp.SetInt("workers", int64(workers))
-		sp.SetInt("attempts", int64(len(p.attempts)))
-	}
+	p.obs.Span.SetInt("workers", int64(workers))
+	p.obs.Span.SetInt("attempts", int64(len(p.attempts)))
 	defer p.obs.End()
 
 	// Mirror context cancellation onto every attempt's stop flag: the
@@ -197,9 +195,7 @@ func runPortfolio(ctx context.Context, res *Result, fe *Frontend,
 		util := 100 * float64(busy) / (float64(wall) * float64(workers))
 		p.obs.Metrics.SetGauge("portfolio.utilization_pct", util)
 	}
-	if sp := p.obs.Span; sp != nil {
-		sp.SetInt("steals", steals)
-	}
+	p.obs.Span.SetInt("steals", steals)
 
 	// Deterministic selection, mirroring the sequential engine: within a
 	// pass an acceptable repair beats any fallback; across passes the
@@ -325,17 +321,15 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	psc := p.obs.WithLabel(key)
 	psc.Worker = worker
 	asc := psc.StartKeyed("attempt", key)
-	asc.Span.SetWorker(worker)
 	defer func() {
 		at.tres.Duration = time.Since(start)
-		if sp := asc.Span; sp != nil {
-			sp.SetStr("template", at.tmpl.Name())
-			sp.SetInt("pass", int64(at.pass))
-			sp.SetInt("sites", int64(at.tres.Sites))
-			sp.SetBool("found", at.tres.Found)
-			sp.SetBool("cancelled", at.tres.Cancelled)
-			sp.SetStr("state", at.tres.State)
-		}
+		sp := asc.Span
+		sp.SetStr("template", at.tmpl.Name())
+		sp.SetInt("pass", int64(at.pass))
+		sp.SetInt("sites", int64(at.tres.Sites))
+		sp.SetBool("found", at.tres.Found)
+		sp.SetBool("cancelled", at.tres.Cancelled)
+		sp.SetStr("state", at.tres.State)
 		asc.End()
 		p.obs.Metrics.Add(fmt.Sprintf("portfolio.worker.%d.busy_us", worker),
 			at.tres.Duration.Microseconds())
@@ -363,12 +357,10 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	counter := 0
 	vars := NewVarTable(&counter)
 	env := &Env{Info: p.fe.Info, Lib: p.opts.Lib, Frozen: p.opts.frozenSet(), Loc: at.loc}
-	ispan := asc.Tracer.Start(asc.Span, "instrument")
+	isc := asc.Start("instrument")
 	instr, err := at.tmpl.Instrument(p.fe.Fixed, env, vars)
-	if ispan != nil {
-		ispan.SetInt("sites", int64(len(vars.Phis)))
-		ispan.End()
-	}
+	isc.Span.SetInt("sites", int64(len(vars.Phis)))
+	isc.End()
 	if err != nil {
 		at.tres.Err = err
 		return
@@ -377,9 +369,9 @@ func (p *portfolio) runAttempt(at *attempt, worker int) {
 	if vars.Empty() {
 		return
 	}
-	espan := asc.Tracer.Start(asc.Span, "elaborate")
+	esc := asc.Start("elaborate")
 	isys, _, err := synth.Elaborate(ctx, instr, synth.Options{Lib: p.opts.Lib})
-	espan.End()
+	esc.End()
 	if err != nil {
 		at.tres.Err = err
 		return

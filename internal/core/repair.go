@@ -277,13 +277,11 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 
 	// 1. Static-analysis preprocessing (§4.1).
 	if !noPreprocess {
-		span := sc.Tracer.Start(sc.Span, "preprocess")
+		psc := sc.Start("preprocess")
 		var err error
 		fe.Fixed, fe.Fixes, fe.Diagnostics, err = lint.PreprocessWithReport(m, lib)
-		if span != nil {
-			span.SetInt("fixes", int64(len(fe.Fixes)))
-			span.End()
-		}
+		psc.Span.SetInt("fixes", int64(len(fe.Fixes)))
+		psc.End()
 		if err != nil {
 			fe.Reason = "preprocessing failed: " + err.Error()
 			return fe
@@ -294,16 +292,14 @@ func newFrontend(sc obs.Scope, m *verilog.Module, lib map[string]*verilog.Module
 	// authority on synthesizability; the analysis report only explains
 	// the failure in more detail (it sees all problems at once where
 	// elaboration stops at the first).
-	span := sc.Tracer.Start(sc.Span, "elaborate")
+	esc := sc.Start("elaborate")
 	sctx := smt.NewContext()
 	sys, info, err := synth.Elaborate(sctx, fe.Fixed, synth.Options{Lib: lib})
-	if span != nil {
-		if err == nil {
-			span.SetInt("states", int64(len(sys.States)))
-			span.SetInt("outputs", int64(len(sys.Outputs)))
-		}
-		span.End()
+	if err == nil {
+		esc.Span.SetInt("states", int64(len(sys.States)))
+		esc.Span.SetInt("outputs", int64(len(sys.Outputs)))
 	}
+	esc.End()
 	if err != nil {
 		fe.Reason = "not synthesizable: " + err.Error()
 		if fe.Diagnostics != nil {
@@ -395,10 +391,11 @@ func watchCancel(ctx context.Context, flag *atomic.Bool) (release func()) {
 // effective deadline is the earlier of ctx's deadline and
 // opts.Timeout. Second, observability (see obs.NewContext): each
 // pipeline phase — preprocess, elaborate, concretize, localize,
-// portfolio — records a span under a per-call "repair" root, and the
-// repair outcome and aggregate solver counters land in the scope's
-// metrics registry. A context without a scope (or
-// context.Background()) runs with observability fully disabled.
+// portfolio, and the encode/SAT/validate layers beneath it — records a
+// span under a per-call "repair" root, and the repair outcome and
+// aggregate solver counters land in the scope's metrics registry. A
+// context without a scope (or context.Background()) reports its spans
+// to the process-wide flight recorder only.
 func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Options) *Result {
 	sc := obs.FromContext(ctx)
 	if sc.Rec == nil {
@@ -424,19 +421,17 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	res := &Result{FirstFailure: -1}
 	finish := func() *Result {
 		res.Duration = time.Since(startTime)
-		if sp := sc.Span; sp != nil {
-			sp.SetStr("design", m.Name)
-			sp.SetStr("status", res.Status.String())
-			sp.SetInt("changes", int64(res.Changes))
-			if res.Template != "" {
-				sp.SetStr("template", res.Template)
-			}
+		sp := sc.Span
+		sp.SetStr("design", m.Name)
+		sp.SetStr("status", res.Status.String())
+		sp.SetInt("changes", int64(res.Changes))
+		if res.Template != "" {
+			sp.SetStr("template", res.Template)
 		}
 		sc.End()
 		recordRepairMetrics(sc.Metrics, res)
 		return res
 	}
-	phase := func(name string) *obs.Span { return sc.Tracer.Start(sc.Span, name) }
 
 	// 1+2. Frontend: static-analysis preprocessing (§4.1) plus
 	// elaboration, possibly served from a shared pre-built artifact (the
@@ -459,14 +454,12 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	}
 
 	// 3. Concretize unknowns and check the current behaviour.
-	span := phase("concretize")
+	csc := sc.Start("concretize")
 	init, ctr := Concretize(sys, tr, opts.Policy, opts.Seed)
 	baseRun := runConcrete(sys, ctr, init)
-	if span != nil {
-		span.SetInt("cycles", int64(ctr.Len()))
-		span.SetInt("first_failure", int64(baseRun.FirstFailure))
-		span.End()
-	}
+	csc.Span.SetInt("cycles", int64(ctr.Len()))
+	csc.Span.SetInt("first_failure", int64(baseRun.FirstFailure))
+	csc.End()
 	if baseRun.Passed() {
 		if len(res.Fixes) > 0 {
 			res.Status = StatusPreprocessed
@@ -497,16 +490,14 @@ func RepairCtx(ctx context.Context, m *verilog.Module, tr *trace.Trace, opts Opt
 	// pruned search fails, a second unpruned pass runs, so localization
 	// can shrink the SMT problem but never lose a repair.
 	if !opts.NoLocalize {
-		span = phase("localize")
+		lsc := sc.Start("localize")
 		res.Localization = analysis.Localize(fixed, opts.Lib,
 			failingOutputs(baseRun, ctr), res.Diagnostics)
-		if span != nil {
-			if res.Localization != nil {
-				span.SetInt("cone", int64(len(res.Localization.Cone)))
-				span.SetInt("flagged", int64(len(res.Localization.Flagged)))
-			}
-			span.End()
+		if res.Localization != nil {
+			lsc.Span.SetInt("cone", int64(len(res.Localization.Cone)))
+			lsc.Span.SetInt("flagged", int64(len(res.Localization.Flagged)))
 		}
+		lsc.End()
 	}
 	passes := []*analysis.Localization{res.Localization}
 	if res.Localization != nil {

@@ -381,10 +381,10 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 		w.u.SetObs(sc)
 		w.solver.SetObs(sc)
 		w.u.Extend(s.ctx, end-from)
-		span := sc.Tracer.Start(sc.Span, "encode")
-		span.SetInt("cycles", int64(end-from))
+		esc := sc.Start("encode")
+		esc.Span.SetInt("cycles", int64(end-from))
 		s.assertCycles(w, from, end)
-		span.End()
+		esc.End()
 		s.Stats.ExtendedCycles += end - from
 		sc.Metrics.Add("synth.extended_cycles", int64(end-from))
 		w.end = end
@@ -402,9 +402,9 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 	if s.win != nil {
 		s.retireWindowStats(s.win.solver)
 	}
-	span := sc.Tracer.Start(sc.Span, "encode")
-	span.SetInt("cycles", int64(steps))
-	span.SetBool("rebuild", true)
+	esc := sc.Start("encode")
+	esc.Span.SetInt("cycles", int64(steps))
+	esc.Span.SetBool("rebuild", true)
 	u := tsys.Unroll(s.ctx, s.sys, steps, init)
 	u.SetObs(sc)
 	u.SetFactCache(s.facts)
@@ -428,7 +428,7 @@ func (s *Synthesizer) encodeWindow(start, end int, startState map[string]bv.XBV,
 	}
 	w := &winEnc{solver: solver, u: u, start: start, end: end}
 	s.assertCycles(w, start, end)
-	span.End()
+	esc.End()
 	s.Stats.SolverBuilds++
 	sc.Metrics.Add("synth.solver_builds", 1)
 	s.win = w
@@ -706,11 +706,11 @@ func (s *Synthesizer) Basic() (*Solution, error) {
 // fallback, whether every sample passed the trace, and the updated
 // latest post-window failure cycle.
 func (s *Synthesizer) validateBatch(sols []*Solution, firstFailure int, fragile *Solution, latestFuture int) (robustSol, fragileOut *Solution, allPassed bool, latestOut int) {
-	span := s.opts.Obs.Tracer.Start(s.opts.Obs.Span, "validate")
-	span.SetInt("samples", int64(len(sols)))
+	vsc := s.opts.Obs.Start("validate")
+	vsc.Span.SetInt("samples", int64(len(sols)))
 	defer func() {
-		span.SetBool("robust_found", robustSol != nil)
-		span.End()
+		vsc.Span.SetBool("robust_found", robustSol != nil)
+		vsc.End()
 	}()
 	fragileOut, latestOut, allPassed = fragile, latestFuture, true
 	for _, sol := range sols {

@@ -37,9 +37,9 @@ func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // Start creates the tracer/registry demanded by the flags and starts the
-// profilers. Tracing stays strictly disabled (nil tracer) unless a trace
-// output was requested; the flight recorder, by contrast, is always on
-// (the process-wide Default ring), flag or no flag — -ring-out only
+// profilers. The tracer — the exporters' span sink — exists only when a
+// trace output was requested; spans reach the flight recorder (the
+// process-wide Default ring) flag or no flag, and -ring-out only
 // controls whether its contents are dumped at exit.
 func (c *CLI) Start() error {
 	if c.TraceOut != "" || c.ChromeOut != "" {

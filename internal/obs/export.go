@@ -35,7 +35,7 @@ type jsonlSpan struct {
 	Worker  int            `json:"worker"`
 	StartUS int64          `json:"start_us"`
 	DurUS   int64          `json:"dur_us"`
-	Open    bool           `json:"open,omitempty"` // true when never End()ed
+	Open    bool           `json:"open,omitempty"` // WriteJSONL exports ended spans only; ValidateJSONL rejects open ones
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
@@ -82,7 +82,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			Worker:  ss.worker,
 			StartUS: ss.start.Microseconds(),
 			DurUS:   ss.dur.Microseconds(),
-			Open:    !ss.closed,
 			Attrs:   attrMap(ss.attrs),
 		}
 		if err := enc.Encode(line); err != nil {
@@ -213,14 +212,12 @@ func scrubValue(v any) any {
 	return v
 }
 
-// ScrubJSONL removes timestamps and worker ids from a JSONL trace,
-// returning a deterministic form suitable for byte comparison across
-// runs and worker counts. Map re-marshalling sorts keys, so the result
-// is canonical.
-func ScrubJSONL(data []byte) ([]byte, error) {
-	var out bytes.Buffer
+// scrubLines scrubs every non-blank line of a JSONL document. Map
+// re-marshalling sorts keys, so each returned line is canonical.
+func scrubLines(data []byte) ([][]byte, error) {
 	sc := bufio.NewScanner(bytes.NewReader(data))
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	var lines [][]byte
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -234,13 +231,29 @@ func ScrubJSONL(data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Write(b)
+		lines = append(lines, b)
+	}
+	return lines, sc.Err()
+}
+
+func joinLines(lines [][]byte) []byte {
+	var out bytes.Buffer
+	for _, l := range lines {
+		out.Write(l)
 		out.WriteByte('\n')
 	}
-	if err := sc.Err(); err != nil {
+	return out.Bytes()
+}
+
+// ScrubJSONL removes timestamps and worker ids from a JSONL trace,
+// returning a deterministic form suitable for byte comparison across
+// runs and worker counts.
+func ScrubJSONL(data []byte) ([]byte, error) {
+	lines, err := scrubLines(data)
+	if err != nil {
 		return nil, err
 	}
-	return out.Bytes(), nil
+	return joinLines(lines), nil
 }
 
 // ScrubChromeTrace removes timestamps and thread ids from a Chrome
@@ -386,44 +399,16 @@ func ValidateRingJSONL(data []byte) error {
 // the scrubbed multiset of events is not, so the sorted form is the
 // deterministic export the cross-worker golden tests diff.
 func ScrubRingJSONL(data []byte) ([]byte, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	var header []byte
-	var lines []string
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var v map[string]any
-		if err := json.Unmarshal(line, &v); err != nil {
-			return nil, fmt.Errorf("obs: scrub ring: %w", err)
-		}
-		b, err := json.Marshal(scrubValue(v))
-		if err != nil {
-			return nil, err
-		}
-		if header == nil {
-			header = b
-			continue
-		}
-		lines = append(lines, string(b))
-	}
-	if err := sc.Err(); err != nil {
+	lines, err := scrubLines(data)
+	if err != nil {
 		return nil, err
 	}
-	if header == nil {
+	if len(lines) == 0 {
 		return nil, fmt.Errorf("obs: scrub ring: empty dump")
 	}
-	sort.Strings(lines)
-	var out bytes.Buffer
-	out.Write(header)
-	out.WriteByte('\n')
-	for _, l := range lines {
-		out.WriteString(l)
-		out.WriteByte('\n')
-	}
-	return out.Bytes(), nil
+	events := lines[1:]
+	sort.Slice(events, func(i, j int) bool { return bytes.Compare(events[i], events[j]) < 0 })
+	return joinLines(lines), nil
 }
 
 // ValidateJSONL schema-checks a JSONL trace export: a well-formed

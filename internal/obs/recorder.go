@@ -7,25 +7,25 @@ import (
 	"time"
 )
 
-// The flight recorder is the always-on half of the observability layer.
-// Where the Tracer is off by default and exists for post-mortem exports,
-// the Recorder runs in production: a bounded ring of recent structured
-// events (span begin/end, solver heartbeats, queue transitions, window
-// progress) plus two live tables — the open-span tree and the registry
-// of currently-solving SAT searches. Together they answer "what is this
-// process doing right now?" (served by /debugz/* in internal/serve) and
-// "what happened in the last N seconds before it hung?" (the ring dump).
+// The flight recorder is the always-on half of the observability layer
+// and the home of every span (see Scope.Start): a bounded ring of
+// recent structured events (span begin/end, solver heartbeats, queue
+// transitions, window progress) plus two live tables — the open-span
+// tree and the registry of currently-solving SAT searches. Together
+// they answer "what is this process doing right now?" (served by
+// /debugz/* in internal/serve) and "what happened in the last N seconds
+// before it hung?" (the ring dump).
 //
-// Cost discipline mirrors the tracer's: ring appends take one short
-// mutex hold and reuse slot memory; solver heartbeats (SolverCell.Beat)
-// are atomics only, so the SAT hot loop never takes a lock. The pinned
-// budget — recorder on, ≤2% of solve time — lives in internal/sat's
-// TestRecorderOverheadBudget next to the nil-tracer budget.
+// Cost discipline: ring appends take one short mutex hold and reuse
+// slot memory; solver heartbeats (SolverCell.Beat) are atomics only, so
+// the SAT hot loop never takes a lock. The pinned budget — recorder on,
+// ≤2% of solve time — lives in internal/sat's TestRecorderOverheadBudget
+// next to the nil-tracer budget.
 
 // Event kinds recorded in the ring.
 const (
-	EvSpanBegin = "span_begin" // a Scope/recorder span opened
-	EvSpanEnd   = "span_end"   // ... and closed (attr time_dur_us)
+	EvSpanBegin = "span_begin" // a span opened (Scope.Start)
+	EvSpanEnd   = "span_end"   // ... and closed (its attrs plus time_dur_us)
 	EvHeartbeat = "heartbeat"  // periodic solver progress (internal/sat)
 	EvQueue     = "queue"      // serve job transition (admit/start/done/...)
 	EvProgress  = "progress"   // pipeline progress marker (window bounds, samples)
@@ -51,29 +51,6 @@ func Int(key string, v int64) Attr { return Attr{Key: key, Int: v} }
 
 // Str builds a string event attribute.
 func Str(key, v string) Attr { return Attr{Key: key, Str: v, IsStr: true} }
-
-// liveSpan is one entry of the open-span table.
-type liveSpan struct {
-	id     uint64
-	parent uint64 // 0 for roots
-	name   string
-	scope  string
-	worker int
-	start  time.Duration
-	attrs  []Attr
-}
-
-// Handle identifies an open recorder span. The zero Handle is both "no
-// parent" (pass it to BeginSpan for a root span) and the disabled
-// handle (End no-ops). Handles are values and may cross goroutines; the
-// recorder serializes all table access.
-type Handle struct {
-	r  *Recorder
-	id uint64
-}
-
-// Valid reports whether the handle refers to an open span.
-func (h Handle) Valid() bool { return h.r != nil && h.id != 0 }
 
 // subscriber is one live event listener (an SSE stream, a test).
 type subscriber struct {
@@ -159,11 +136,11 @@ type Recorder struct {
 	epoch time.Time
 
 	mu      sync.Mutex
-	ring    []Event // fixed-capacity circular buffer
-	head    int     // next write position
-	count   int     // valid entries (≤ cap)
-	seq     uint64  // total events ever emitted
-	spans   map[uint64]*liveSpan
+	ring    []Event          // fixed-capacity circular buffer
+	head    int              // next write position
+	count   int              // valid entries (≤ cap)
+	seq     uint64           // total events ever emitted
+	spans   map[uint64]*Span // the live (open) span table
 	spanSeq uint64
 	cells   map[uint64]*SolverCell
 	cellSeq uint64
@@ -192,14 +169,11 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{
 		epoch: time.Now(),
 		ring:  make([]Event, capacity),
-		spans: map[uint64]*liveSpan{},
+		spans: map[uint64]*Span{},
 		cells: map[uint64]*SolverCell{},
 		subs:  map[uint64]*subscriber{},
 	}
 }
-
-// Enabled reports whether the recorder records events.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Emit appends one event to the ring and fans it out to subscribers.
 // The ring overwrites its oldest entry when full; subscribers with full
@@ -248,55 +222,30 @@ func (s *subscriber) matches(scope string) bool {
 	return len(scope) == len(s.scope) || scope[len(s.scope)] == '/'
 }
 
-// BeginSpan opens a recorder span: an entry in the live span table plus
-// a span_begin ring event. parent is the enclosing span's handle (the
-// zero Handle for a root). Every BeginSpan must be paired with End on
-// the returned handle — cmd/repolint's rec-begin-leak check enforces
-// the pairing at vet time.
-func (r *Recorder) BeginSpan(parent Handle, name, scope string, worker int, attrs ...Attr) Handle {
-	if r == nil {
-		return Handle{}
-	}
-	r.mu.Lock()
-	r.spanSeq++
-	id := r.spanSeq
-	ls := &liveSpan{
-		id:     id,
-		name:   name,
-		scope:  scope,
-		worker: worker,
-		start:  time.Since(r.epoch),
-		attrs:  attrs,
-	}
-	if parent.r == r {
-		ls.parent = parent.id
-	}
-	r.spans[id] = ls
-	r.mu.Unlock()
-	r.Emit(EvSpanBegin, name, scope, worker, attrs...)
-	return Handle{r: r, id: id}
-}
-
-// End closes a recorder span: removes it from the live table and emits
-// a span_end event carrying the duration (as time_dur_us, so scrubbed
-// exports stay deterministic) plus any extra attributes.
-func (h Handle) End(attrs ...Attr) {
-	r := h.r
+// beginSpan enters a span into the live table and emits span_begin.
+func (r *Recorder) beginSpan(s *Span) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	ls, ok := r.spans[h.id]
-	if ok {
-		delete(r.spans, h.id)
-	}
+	r.spanSeq++
+	s.id = r.spanSeq
+	r.spans[s.id] = s
 	r.mu.Unlock()
-	if !ok {
-		return // double End is a no-op, like Span.End
+	r.Emit(EvSpanBegin, s.name, s.scope, s.worker)
+}
+
+// endSpan removes a span from the live table and emits span_end with
+// its attrs plus the duration (as time_dur_us, so scrubbed exports stay
+// deterministic).
+func (r *Recorder) endSpan(s *Span, attrs []Attr, dur time.Duration) {
+	if r == nil {
+		return
 	}
-	dur := time.Since(r.epoch) - ls.start
-	attrs = append(attrs, Int("time_dur_us", dur.Microseconds()))
-	r.Emit(EvSpanEnd, ls.name, ls.scope, ls.worker, attrs...)
+	r.mu.Lock()
+	delete(r.spans, s.id)
+	r.mu.Unlock()
+	r.Emit(EvSpanEnd, s.name, s.scope, s.worker, append(attrs, Int("time_dur_us", dur.Microseconds()))...)
 }
 
 // Events snapshots the ring, oldest first.
@@ -334,26 +283,26 @@ func (r *Recorder) LiveSpans() []*SpanView {
 	if r == nil {
 		return nil
 	}
-	now := time.Since(r.epoch)
+	now := time.Now()
 	r.mu.Lock()
-	spans := make([]*liveSpan, 0, len(r.spans))
-	for _, ls := range r.spans {
-		spans = append(spans, ls)
+	spans := make([]*Span, 0, len(r.spans))
+	for _, s := range r.spans {
+		spans = append(spans, s)
 	}
 	r.mu.Unlock()
 	sort.Slice(spans, func(i, j int) bool { return spans[i].id < spans[j].id })
-	views := make(map[uint64]*SpanView, len(spans))
+	views := make(map[*Span]*SpanView, len(spans))
 	var roots []*SpanView
-	for _, ls := range spans {
+	for _, s := range spans {
 		v := &SpanView{
-			Name:   ls.name,
-			Scope:  ls.scope,
-			Worker: ls.worker,
-			AgeMS:  (now - ls.start).Milliseconds(),
-			Attrs:  attrMap(ls.attrs),
+			Name:   s.name,
+			Scope:  s.scope,
+			Worker: s.worker,
+			AgeMS:  now.Sub(s.start).Milliseconds(),
+			Attrs:  attrMap(s.snapshotAttrs()),
 		}
-		views[ls.id] = v
-		if p, ok := views[ls.parent]; ok {
+		views[s] = v
+		if p, ok := views[s.parent]; ok {
 			p.Children = append(p.Children, v)
 		} else {
 			roots = append(roots, v)

@@ -11,10 +11,8 @@ import (
 func TestRecorderNilSafety(t *testing.T) {
 	var r *Recorder
 	r.Emit(EvQueue, "admit", "job", 0)
-	h := r.BeginSpan(Handle{}, "x", "", 0)
-	h.End()
-	if h.Valid() {
-		t.Error("nil recorder returned a valid handle")
+	if sp := (Scope{Rec: r}).Start("x").Span; sp != nil {
+		t.Error("nil recorder opened a span")
 	}
 	if r.Events() != nil || r.LiveSpans() != nil || r.Solvers() != nil {
 		t.Error("nil recorder returned non-nil snapshots")
@@ -56,9 +54,12 @@ func TestRecorderRingBounds(t *testing.T) {
 
 func TestRecorderLiveSpanTree(t *testing.T) {
 	r := NewRecorder(64)
-	root := r.BeginSpan(Handle{}, "repair", "fsm_w1", 0)
-	child := r.BeginSpan(root, "portfolio", "fsm_w1", 0)
-	grand := r.BeginSpan(child, "attempt", "fsm_w1/p0:cond", 2, Str("template", "cond"))
+	root := Scope{Rec: r, Label: "fsm_w1"}.Start("repair")
+	child := root.Start("portfolio")
+	lane := child.WithLabel("p0:cond")
+	lane.Worker = 2
+	grand := lane.Start("attempt")
+	grand.Span.SetStr("template", "cond")
 
 	roots := r.LiveSpans()
 	if len(roots) != 1 || roots[0].Name != "repair" {
@@ -84,7 +85,8 @@ func TestRecorderLiveSpanTree(t *testing.T) {
 		t.Fatalf("after all ends: %+v, want empty", got)
 	}
 
-	// The ring saw paired begin/end events, ends carrying durations.
+	// The ring saw paired begin/end events, ends carrying durations and
+	// the span's attrs.
 	var begins, ends int
 	for _, ev := range r.Events() {
 		switch ev.Kind {
@@ -92,14 +94,12 @@ func TestRecorderLiveSpanTree(t *testing.T) {
 			begins++
 		case EvSpanEnd:
 			ends++
-			found := false
-			for _, a := range ev.Attrs {
-				if a.Key == "time_dur_us" {
-					found = true
-				}
-			}
-			if !found {
+			m := attrMap(ev.Attrs)
+			if _, ok := m["time_dur_us"]; !ok {
 				t.Errorf("span_end %q lacks time_dur_us", ev.Name)
+			}
+			if ev.Name == "attempt" && (m["template"] != "cond" || ev.Scope != "fsm_w1/p0:cond" || ev.Worker != 2) {
+				t.Errorf("attempt span_end = %+v", ev)
 			}
 		}
 	}
@@ -110,8 +110,8 @@ func TestRecorderLiveSpanTree(t *testing.T) {
 
 func TestRecorderOrphanChildSurvivesParentEnd(t *testing.T) {
 	r := NewRecorder(64)
-	root := r.BeginSpan(Handle{}, "repair", "", 0)
-	child := r.BeginSpan(root, "window", "", 0)
+	root := Scope{Rec: r}.Start("repair")
+	child := root.Start("window")
 	root.End() // parent ends first (cancellation paths can do this)
 	roots := r.LiveSpans()
 	if len(roots) != 1 || roots[0].Name != "window" {
@@ -202,7 +202,7 @@ func TestRecorderConcurrentEmitters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				h := r.BeginSpan(Handle{}, "span", fmt.Sprintf("w%d", w), w)
+				h := Scope{Rec: r, Label: fmt.Sprintf("w%d", w), Worker: w}.Start("span")
 				cell := r.RegisterSolver(fmt.Sprintf("w%d/solve", w), w)
 				cell.Beat(int64(i), 0, 0, 0)
 				cell.Close()
@@ -231,13 +231,15 @@ func emitSession(order []int, workers []int) *Recorder {
 	for i, idx := range order {
 		w := workers[i%len(workers)]
 		scope := fmt.Sprintf("fsm_w1/p0:t%d", idx)
-		h := r.BeginSpan(Handle{}, "attempt", scope, w, Str("template", fmt.Sprintf("t%d", idx)))
+		h := Scope{Rec: r, Label: scope, Worker: w}.Start("attempt")
+		h.Span.SetStr("template", fmt.Sprintf("t%d", idx))
 		r.Emit(EvProgress, "window", scope, w, Int("start", 0), Int("end", 8))
 		r.Emit(EvHeartbeat, "sat.solve", scope, w,
 			Int("conflicts", 1024*int64(idx+1)), Int("propagations", 9000),
 			Int("time_rate_cps", int64(100*idx))) // wall-clock-derived: scrubbed
 		time.Sleep(time.Duration(idx) * time.Microsecond)
-		h.End(Int("sites", int64(10+idx)))
+		h.Span.SetInt("sites", int64(10+idx))
+		h.End()
 	}
 	return r
 }

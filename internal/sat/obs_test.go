@@ -8,19 +8,18 @@ import (
 )
 
 // BenchmarkNilTracer prices the observability instrumentation in its
-// disabled (default) state. "calls" is the per-Solve instrumentation
-// sequence against a nil tracer; "solve" is a real CDCL search with the
-// zero Scope, i.e. exactly what every solver pays when no -trace-out is
-// given; "solve-traced" is the same search with tracing on, for
-// comparison.
+// disabled state. "calls" is the per-Solve instrumentation sequence on
+// the zero Scope (no recorder, no tracer); "solve" is a real CDCL
+// search with the zero Scope; "solve-traced" is the same search with a
+// tracer and registry attached, for comparison.
 func BenchmarkNilTracer(b *testing.B) {
 	b.Run("calls", func(b *testing.B) {
 		var sc obs.Scope
 		for i := 0; i < b.N; i++ {
-			span := sc.Tracer.Start(sc.Span, "sat.solve")
-			span.SetInt("assumptions", 0)
+			ssc := sc.Start("sat.solve")
+			ssc.Span.SetInt("assumptions", 0)
 			sc.Metrics.Add("sat.restarts", 1)
-			span.End()
+			ssc.End()
 		}
 	})
 	bench := func(b *testing.B, sc obs.Scope) {
@@ -41,7 +40,7 @@ func BenchmarkNilTracer(b *testing.B) {
 
 // TestNilTracerOverheadBudget pins the disabled-instrumentation cost on
 // the solver hot path below 2% of solve time, with generous headroom:
-// the instrumentation adds one nil-tracer span sequence per Solve call
+// the instrumentation adds one zero-Scope span sequence per Solve call
 // and one nil-registry Add per restart, so its total cost is
 // (restarts+1) × the measured per-call cost. On any plausible hardware
 // that is thousands of times under the budget; the assertion only
@@ -59,15 +58,15 @@ func TestNilTracerOverheadBudget(t *testing.T) {
 	restarts := s.Statistics().Restarts
 
 	// Price one disabled instrumentation sequence (span start/attr/end +
-	// metrics add) against a nil tracer and registry.
+	// metrics add) on the zero Scope.
 	var sc obs.Scope
 	const reps = 1_000_000
 	startCalls := time.Now()
 	for i := 0; i < reps; i++ {
-		span := sc.Tracer.Start(sc.Span, "sat.solve")
-		span.SetInt("assumptions", 0)
+		ssc := sc.Start("sat.solve")
+		ssc.Span.SetInt("assumptions", 0)
 		sc.Metrics.Add("sat.restarts", 1)
-		span.End()
+		ssc.End()
 	}
 	perCall := time.Since(startCalls) / reps
 
@@ -165,9 +164,11 @@ func TestSolverFlightRecorder(t *testing.T) {
 // TestRecorderOverheadBudget pins the always-on flight recorder's cost
 // on the solver hot path below 2% of solve time, the same budget
 // discipline as the nil-tracer test above. The recorder adds, per
-// Solve: one cell register+close (mutexed), one atomic Beat per 1024
-// loop iterations, and one ring Emit per 1024 conflicts. Each is priced
-// in isolation and multiplied by the real search's counts.
+// Solve: one "sat.solve" span (live-table entry, nine attrs, span_begin
+// and span_end ring events), one cell register+close (mutexed), one
+// atomic Beat per 1024 loop iterations, and one ring Emit per 1024
+// conflicts. Each is priced in isolation and multiplied by the real
+// search's counts.
 func TestRecorderOverheadBudget(t *testing.T) {
 	s := New()
 	pigeonhole(s, 7, 6)
@@ -187,6 +188,19 @@ func TestRecorderOverheadBudget(t *testing.T) {
 
 	rec := obs.NewRecorder(obs.DefaultRingCapacity)
 	const reps = 200_000
+	sc := obs.Scope{Rec: rec, Label: "bench"}
+	startSpan := time.Now()
+	for i := 0; i < reps; i++ {
+		ssc := sc.Start("sat.solve")
+		for _, key := range []string{"assumptions", "cnf_vars", "cnf_clauses", "conflicts",
+			"decisions", "propagations", "restarts", "learned"} {
+			ssc.Span.SetInt(key, int64(i))
+		}
+		ssc.Span.SetStr("result", "UNSAT")
+		ssc.End()
+	}
+	perSpan := time.Since(startSpan) / reps
+
 	startReg := time.Now()
 	for i := 0; i < reps; i++ {
 		c := rec.RegisterSolver("bench", 0)
@@ -210,10 +224,10 @@ func TestRecorderOverheadBudget(t *testing.T) {
 	perEmit := time.Since(startEmit) / reps
 	c.Close()
 
-	overhead := perRegister + time.Duration(beats)*perBeat + time.Duration(emits)*perEmit
+	overhead := perSpan + perRegister + time.Duration(beats)*perBeat + time.Duration(emits)*perEmit
 	budget := solveTime / 50 // 2%
-	t.Logf("solve %v; %d beats × %v + %d emits × %v + register %v = %v (budget %v)",
-		solveTime, beats, perBeat, emits, perEmit, perRegister, overhead, budget)
+	t.Logf("solve %v; span %v + register %v + %d beats × %v + %d emits × %v = %v (budget %v)",
+		solveTime, perSpan, perRegister, beats, perBeat, emits, perEmit, overhead, budget)
 	if overhead > budget {
 		t.Fatalf("flight-recorder overhead %v exceeds 2%% of solve time %v", overhead, solveTime)
 	}

@@ -146,19 +146,21 @@ type Solver struct {
 	// another goroutine may touch while Solve runs.
 	Interrupt *atomic.Bool
 	// Obs positions the solver in the observability layer: each Solve
-	// call records one "sat.solve" span under Obs.Span with the search
-	// counter deltas, and restarts tick the "sat.restarts" counter. The
-	// zero Scope (the default) disables all of it; the hot loop then pays
-	// only nil checks on the rare restart path (see BenchmarkNilTracer).
+	// call opens one "sat.solve" span under Obs.Span carrying the search
+	// counter deltas (a span_end in Obs.Rec's ring, plus a trace record
+	// when Obs.Tracer is set), and restarts tick the "sat.restarts"
+	// counter. The zero Scope (the default) disables all of it; the hot
+	// loop then pays only nil checks on the rare restart path (see
+	// BenchmarkNilTracer).
 	//
-	// When Obs.Rec is set (the always-on flight recorder), each Solve
-	// additionally registers a live SolverCell — updated with atomic
-	// heartbeats from the periodic poll block, surfaced by
-	// /debugz/solvers and the stall watchdog — and emits a "heartbeat"
-	// ring event every heartbeatConflicts conflicts. Emission is keyed
-	// on the cumulative conflict count, not wall clock, so the event
-	// multiset is deterministic across worker counts (see
-	// TestRecorderOverheadBudget for the pinned ≤2% cost).
+	// With Obs.Rec set (the always-on flight recorder), each Solve also
+	// registers a live SolverCell — updated with atomic heartbeats from
+	// the periodic poll block, surfaced by /debugz/solvers and the stall
+	// watchdog — and emits a "heartbeat" ring event every
+	// heartbeatConflicts conflicts. Emission is keyed on the cumulative
+	// conflict count, not wall clock, so the event multiset is
+	// deterministic across worker counts (see TestRecorderOverheadBudget
+	// for the pinned ≤2% cost).
 	Obs obs.Scope
 }
 
@@ -566,22 +568,22 @@ func (s *Solver) reduceDB() {
 // model can be read with Value. On Unsat under assumptions, the conflict
 // subset is available via FailedAssumptions.
 func (s *Solver) Solve(assumptions ...Lit) (st Status, err error) {
-	if span := s.Obs.Tracer.Start(s.Obs.Span, "sat.solve"); span != nil {
-		span.SetInt("assumptions", int64(len(assumptions)))
-		span.SetInt("cnf_vars", int64(len(s.assigns)))
-		span.SetInt("cnf_clauses", s.added)
-		before := s.Statistics()
-		defer func() {
-			after := s.Statistics()
-			span.SetStr("result", st.String())
-			span.SetInt("conflicts", after.Conflicts-before.Conflicts)
-			span.SetInt("decisions", after.Decisions-before.Decisions)
-			span.SetInt("propagations", after.Propagations-before.Propagations)
-			span.SetInt("restarts", after.Restarts-before.Restarts)
-			span.SetInt("learned", after.Learned-before.Learned)
-			span.End()
-		}()
-	}
+	ssc := s.Obs.Start("sat.solve")
+	span := ssc.Span
+	span.SetInt("assumptions", int64(len(assumptions)))
+	span.SetInt("cnf_vars", int64(len(s.assigns)))
+	span.SetInt("cnf_clauses", s.added)
+	before := s.Statistics()
+	defer func() {
+		after := s.Statistics()
+		span.SetStr("result", st.String())
+		span.SetInt("conflicts", after.Conflicts-before.Conflicts)
+		span.SetInt("decisions", after.Decisions-before.Decisions)
+		span.SetInt("propagations", after.Propagations-before.Propagations)
+		span.SetInt("restarts", after.Restarts-before.Restarts)
+		span.SetInt("learned", after.Learned-before.Learned)
+		ssc.End()
+	}()
 	// Flight recorder: a live cell for /debugz/solvers and the stall
 	// watchdog. Registered per Solve call so the cell's lifetime is
 	// exactly "a search is running"; a solver stuck inside this call is

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -236,6 +237,129 @@ func TestJobEventsSSE(t *testing.T) {
 	}
 	if !sawProgress {
 		t.Fatalf("no window.solve progress event in stream: %+v", evs)
+	}
+}
+
+// TestJobEventsSSERealEngine follows a real repair of the smoke design
+// over /v1/jobs/{id}/events and then inspects the /debugz endpoints it
+// left behind. The job is held until the stream attaches, so the stream
+// sees the whole run: the inner engine layers (encode, smt.check,
+// sat.solve) arrive as span_end events in the job's scope, not just the
+// repair/portfolio/attempt/window spans.
+func TestJobEventsSSERealEngine(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/smoke/counter_buggy.v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := os.ReadFile("../../testdata/smoke/counter_tb.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(obs.DefaultRingCapacity)
+	s := newTestServer(t, Config{Slots: 1, Obs: obs.Scope{Rec: rec}}, nil)
+	release := make(chan struct{})
+	engine := s.repair
+	s.repair = func(ctx context.Context, job *Job) *RepairResult {
+		<-release
+		return engine(ctx, job)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"source":` + jsonString(string(src)) + `,"trace":` + jsonString(string(tb)) + `,"options":{"seed":3}}`
+	resp, err := http.Post(ts.URL+"/v1/repair", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	stream, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	events := make(chan []sseEvent, 1)
+	go func() { events <- readSSE(t, stream.Body) }()
+	time.Sleep(10 * time.Millisecond) // let the handler write "state"
+	close(release)
+	var evs []sseEvent
+	select {
+	case evs = <-events:
+	case <-time.After(60 * time.Second):
+		t.Fatal("SSE stream did not finish")
+	}
+	if len(evs) < 2 || evs[0].Event != "state" || evs[len(evs)-1].Event != "done" {
+		t.Fatalf("stream does not run state → done: %d events", len(evs))
+	}
+	var final JobView
+	if err := json.Unmarshal([]byte(evs[len(evs)-1].Data), &final); err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone || final.Result == nil || final.Result.Status != "repaired" {
+		t.Fatalf("done view = %+v", final)
+	}
+	ended := map[string]int{}
+	for _, ev := range evs[1 : len(evs)-1] {
+		var wire eventWire
+		if err := json.Unmarshal([]byte(ev.Data), &wire); err != nil {
+			t.Fatal(err)
+		}
+		if !scopeMatches(v.ID, wire.Scope) {
+			t.Fatalf("streamed event outside job scope: %+v", wire)
+		}
+		if wire.Kind == obs.EvSpanEnd {
+			ended[wire.Name]++
+		}
+	}
+	for _, layer := range []string{"encode", "smt.check", "sat.solve"} {
+		if ended[layer] == 0 {
+			t.Errorf("no %s span_end in the job's stream: %v", layer, ended)
+		}
+	}
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return data
+	}
+	var spans []*obs.SpanView
+	if err := json.Unmarshal(get("/debugz/spans"), &spans); err != nil {
+		t.Fatalf("/debugz/spans is not a span list: %v", err)
+	}
+	ring := get("/debugz/ring")
+	for _, kind := range []string{obs.EvQueue, obs.EvSpanBegin, obs.EvSpanEnd} {
+		if !strings.Contains(string(ring), `"kind":"`+kind+`"`) {
+			t.Errorf("/debugz/ring has no %s events", kind)
+		}
+	}
+	solvers := get("/debugz/solvers")
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(solvers, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"solvers", "stalled_jobs", "stall_after"} {
+		if _, ok := keys[key]; !ok {
+			t.Errorf("/debugz/solvers lacks %q: %s", key, solvers)
+		}
+	}
+	var sv solversJSON
+	if err := json.Unmarshal(solvers, &sv); err != nil {
+		t.Fatal(err)
+	}
+	if len(sv.StalledJobs) != 0 {
+		t.Fatalf("watchdog flagged jobs on an idle server: %v", sv.StalledJobs)
 	}
 }
 

@@ -609,9 +609,8 @@ func (s *Solver) Assert(t *Term) {
 // re-checked against the DRUP proof; a failure of either check is a
 // solver soundness bug and panics.
 func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
-	span := s.obs.Tracer.Start(s.obs.Span, "smt.check")
-	s.sat.Obs = obs.Scope{Tracer: s.obs.Tracer, Span: span, Metrics: s.obs.Metrics,
-		Rec: s.obs.Rec, Label: s.obs.Label, Worker: s.obs.Worker}
+	csc := s.obs.Start("smt.check")
+	s.sat.Obs = csc
 	lits := make([]sat.Lit, 0, len(assumptions))
 	terms := make([]*Term, 0, len(assumptions))
 	for _, a := range assumptions {
@@ -631,12 +630,12 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 		s.snapshotModel()
 		if s.validate {
 			start := time.Now()
-			cspan := s.obs.Tracer.Start(span, "certify")
-			cspan.SetStr("kind", "validate-model")
+			vsc := csc.Start("certify")
+			vsc.Span.SetStr("kind", "validate-model")
 			if verr := s.ValidateModel(); verr != nil {
 				panic(fmt.Sprintf("smt: unsound Sat verdict: %v", verr))
 			}
-			cspan.End()
+			vsc.End()
 			s.certStats.ModelsValidated++
 			s.certStats.CheckTime += time.Since(start)
 			s.obs.Metrics.Add("certify.models_validated", 1)
@@ -645,23 +644,21 @@ func (s *Solver) Check(assumptions ...*Term) (sat.Status, error) {
 		s.model = nil
 		if st == sat.Unsat && s.checker != nil {
 			start := time.Now()
-			cspan := s.obs.Tracer.Start(span, "certify")
-			cspan.SetStr("kind", "drup-unsat")
+			usc := csc.Start("certify")
+			usc.Span.SetStr("kind", "drup-unsat")
 			if cerr := s.CertifyLastUnsat(); cerr != nil {
 				panic(fmt.Sprintf("smt: unsound Unsat verdict: %v", cerr))
 			}
-			cspan.SetInt("proof_steps", int64(s.checker.Checked()))
-			cspan.End()
+			usc.Span.SetInt("proof_steps", int64(s.checker.Checked()))
+			usc.End()
 			s.certStats.UnsatsCertified++
 			s.certStats.CheckTime += time.Since(start)
 			s.obs.Metrics.Add("certify.unsats_certified", 1)
 		}
 	}
-	if span != nil {
-		span.SetStr("result", st.String())
-		span.SetInt("smt_terms", int64(len(s.bits)))
-		span.End()
-	}
+	csc.Span.SetStr("result", st.String())
+	csc.Span.SetInt("smt_terms", int64(len(s.bits)))
+	csc.End()
 	s.obs.Metrics.Add("smt.checks", 1)
 	return st, err
 }

@@ -221,11 +221,10 @@ func (u *Unrolling) Extend(ctx *smt.Context, extraSteps int) {
 	if extraSteps <= 0 {
 		return
 	}
-	if span := u.obsScope.Tracer.Start(u.obsScope.Span, "tsys.extend"); span != nil {
-		span.SetInt("from_steps", int64(u.Steps))
-		span.SetInt("extra_steps", int64(extraSteps))
-		defer span.End()
-	}
+	esc := u.obsScope.Start("tsys.extend")
+	esc.Span.SetInt("from_steps", int64(u.Steps))
+	esc.Span.SetInt("extra_steps", int64(extraSteps))
+	defer esc.End()
 	u.obsScope.Metrics.Add("tsys.extend_steps", int64(extraSteps))
 	name := func(base string, k int) string {
 		if u.tag == "" {

@@ -156,6 +156,88 @@ func TestRingBytesIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRingCarriesEveryLayer checks that the always-on flight recorder
+// alone explains a repair layer by layer. A Workers-1 repair of
+// counter_k1 runs with a private recorder and a tracer: every span the
+// tracer saw must reach the ring as a span_end (per-name counts equal,
+// so encode, sat.solve, smt.check, validate and the other inner layers
+// are there), and the repair span's direct children — the spans in the
+// design's own scope — must cover >=95% of its time_dur_us, read from
+// the ring with no tracer involved.
+func TestRingCarriesEveryLayer(t *testing.T) {
+	bm := bench.ByName("counter_k1")
+	if bm == nil {
+		t.Fatal("benchmark counter_k1 not in registry")
+	}
+	tr, err := bm.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := bm.BuggyModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(obs.DefaultRingCapacity)
+	tracer := obs.New()
+	ctx := obs.NewContext(context.Background(), obs.Scope{Tracer: tracer, Rec: rec})
+	res := core.RepairCtx(ctx, m, tr, core.Options{
+		Policy:  sim.Randomize,
+		Seed:    goldenSeed(bm, tr, 1),
+		Timeout: 120 * time.Second,
+		Workers: 1,
+	})
+	if res.Status != core.StatusRepaired {
+		t.Fatalf("status = %v (reason %s)", res.Status, res.Reason)
+	}
+	if dropped := rec.Dropped(); dropped != 0 {
+		t.Fatalf("recorder dropped %d events", dropped)
+	}
+
+	ended := map[string]int{}
+	var repairUS, childUS int64
+	for _, ev := range rec.Events() {
+		if ev.Kind != obs.EvSpanEnd {
+			continue
+		}
+		ended[ev.Name]++
+		var dur int64
+		for _, a := range ev.Attrs {
+			if a.Key == "time_dur_us" {
+				dur = a.Int
+			}
+		}
+		switch {
+		case ev.Scope != m.Name:
+		case ev.Name == "repair":
+			repairUS = dur
+		default:
+			childUS += dur
+		}
+	}
+	totals := tracer.PhaseTotals()
+	for name, ps := range totals {
+		if ended[name] != ps.Count {
+			t.Errorf("%s: %d span_end events in the ring, %d spans in the trace", name, ended[name], ps.Count)
+		}
+	}
+	if len(ended) != len(totals) {
+		t.Errorf("ring span names %v, trace span names %v", ended, totals)
+	}
+	for _, layer := range []string{"encode", "sat.solve", "smt.check", "validate", "concretize"} {
+		if ended[layer] == 0 {
+			t.Errorf("no %s span in the ring", layer)
+		}
+	}
+	if repairUS <= 0 {
+		t.Fatalf("repair span_end missing or zero-length (%dus)", repairUS)
+	}
+	coverage := float64(childUS) / float64(repairUS)
+	t.Logf("ring: repair %dus, direct children %dus, coverage %.2f%%", repairUS, childUS, 100*coverage)
+	if coverage < 0.95 {
+		t.Errorf("ring-only phase coverage %.2f%%, want >= 95%%", 100*coverage)
+	}
+}
+
 // TestPhaseCoverage checks the acceptance bar that the phase spans
 // account for >=95% of the repair wall clock: the root "repair" span's
 // direct children must own (nearly) all of its duration, so a trace
